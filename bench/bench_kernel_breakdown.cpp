@@ -8,16 +8,19 @@
 // outer-transition launches, and warm-start chain copies. PR 4's data
 // showed the TRON branch phase at ~90% of fused-step time, so this harness
 // now also attributes *within* the branch phase: every record carries the
-// branch solver path (fixed-dimension devirtualized fast path vs the
-// generic TronSolver) and the branch-pack factor, and the per-(config)
-// summary adds the TRON work counters — tron / CG / augmented-Lagrangian
-// iterations and objective evaluations per fused step — so a branch-phase
-// regression can be split into "more TRON work" vs "slower TRON work".
+// branch solver path (lockstep fast path vs the generic TronSolver), and
+// the per-(config) summary adds the TRON work counters — tron / CG /
+// augmented-Lagrangian iterations and objective evaluations per fused step
+// — so a branch-phase regression can be split into "more TRON work" vs
+// "slower TRON work". Next to the branch phase's microseconds per step it
+// prints the lockstep lane utilisation (live lane-iterations / (W x group
+// iterations), BranchUpdateStats::lane_utilisation): the share of the
+// lockstep groups' lane slots that did useful work, which lane divergence
+// and partly filled or outaged groups lower.
 //
 //   ./bench_kernel_breakdown [--cases=case9,case30] [--sizes=16,64,256]
 //                            [--layouts=scenario_major,interleaved]
-//                            [--paths=fixed,generic] [--branch-pack=1]
-//                            [--smoke] [--trace=PATH]
+//                            [--paths=fixed,generic] [--smoke] [--trace=PATH]
 //
 // Emits one JsonRecord per (case, S, layout, path, phase): total seconds,
 // microseconds per fused step, and the phase's share of the loop — plus a
@@ -63,11 +66,10 @@ int main(int argc, char** argv) {
   for (const auto& name : split_csv(opts.get("paths", "fixed,generic"))) {
     paths.push_back(admm::branch_path_from_name(name));
   }
-  const int branch_pack = opts.get_int("branch-pack", 1);
   const bench::TraceGuard trace_guard(opts);
 
-  Table table({"case", "S", "layout", "path", "steps", "branch us/it", "tron it/step",
-               "cg it/step", "evals/step", "scen/s"});
+  Table table({"case", "S", "layout", "path", "steps", "branch us/it", "lane util",
+               "tron it/step", "cg it/step", "evals/step", "scen/s"});
   for (const auto& case_name : case_names) {
     const auto net = grid::load_case(case_name);
     for (const int S : sizes) {
@@ -80,7 +82,6 @@ int main(int argc, char** argv) {
           scenario::BatchAdmmSolver solver(set, params);
           scenario::BatchSolveOptions options;
           options.layout = layout;
-          options.branch_pack = branch_pack;
           const auto report = solver.solve(options);
 
           const auto& p = report.phases;
@@ -103,7 +104,6 @@ int main(int argc, char** argv) {
                 .field("S", S)
                 .field("layout", admm::layout_name(layout))
                 .field("solver_path", admm::branch_path_name(path))
-                .field("branch_pack", branch_pack)
                 .field("phase", phase.name)
                 .field("seconds", phase.seconds)
                 .field("us_per_step", us_per_step(phase.seconds))
@@ -116,7 +116,6 @@ int main(int argc, char** argv) {
               .field("S", S)
               .field("layout", admm::layout_name(layout))
               .field("solver_path", admm::branch_path_name(path))
-              .field("branch_pack", branch_pack)
               .field("phase", "total")
               .field("seconds", loop_total)
               .field("us_per_step", us_per_step(loop_total))
@@ -134,6 +133,7 @@ int main(int argc, char** argv) {
               .field("auglag_iters_per_step", per_step(report.branch.auglag_iterations))
               .field("evals_per_step", per_step(report.branch.function_evals))
               .field("branch_us_per_step", us_per_step(p.branch_seconds))
+              .field("lane_utilisation", report.branch.lane_utilisation())
               .field("branch_share", loop_total > 0.0 ? p.branch_seconds / loop_total : 0.0)
               .field("scenarios_per_second", report.scenarios_per_second());
           summary.emit();
@@ -141,6 +141,7 @@ int main(int argc, char** argv) {
           table.add_row({case_name, std::to_string(S), admm::layout_name(layout),
                          admm::branch_path_name(path), std::to_string(report.fused_steps),
                          Table::fixed(us_per_step(p.branch_seconds), 1),
+                         Table::fixed(report.branch.lane_utilisation(), 3),
                          Table::fixed(per_step(report.branch.tron_iterations), 1),
                          Table::fixed(per_step(report.branch.cg_iterations), 1),
                          Table::fixed(per_step(report.branch.function_evals), 1),

@@ -7,15 +7,11 @@
 //
 //   ./bench_scenario_batch [--cases=case9,case30] [--sizes=1,4,16,64]
 //                          [--layouts=scenario_major,interleaved]
-//                          [--branch-packs=1,8] [--shards=N] [--smoke]
-//                          [--trace=PATH]
+//                          [--shards=N] [--smoke] [--trace=PATH]
 //
 // --shards=N (or GRIDADMM_SHARDS=N) runs the batched engine over an
 // N-device pool instead of one device; the sequential baseline always runs
-// on a single device. --branch-packs sweeps the TRON branch phase's pack
-// factor (scenario::BatchSolveOptions::branch_pack); every record carries
-// its branch_pack, and results are bit-identical across the sweep, so only
-// throughput should move. --trace=PATH writes a Chrome trace-event JSON of
+// on a single device. --trace=PATH writes a Chrome trace-event JSON of
 // the run (fused-phase, wave, and device-launch spans; open in Perfetto,
 // validate with scripts/trace_check.py).
 #include <algorithm>
@@ -47,10 +43,6 @@ int main(int argc, char** argv) {
   for (const auto& name : split_csv(opts.get("layouts", "scenario_major,interleaved"))) {
     layouts.push_back(admm::layout_from_name(name));
   }
-  std::vector<int> branch_packs;
-  for (const auto& s : split_csv(opts.get("branch-packs", "1"))) {
-    branch_packs.push_back(std::max(1, std::stoi(s)));
-  }
   const int shards = std::max(1, opts.get_int("shards", bench::env_int("GRIDADMM_SHARDS", 1)));
   const bench::TraceGuard trace_guard(opts);
   std::unique_ptr<device::DevicePool> pool;
@@ -59,7 +51,7 @@ int main(int argc, char** argv) {
   // the machine's workers across its devices (0 = default single device).
   const int batch_workers = pool != nullptr ? shards * pool->device(0).workers() : 0;
 
-  Table table({"case", "S", "layout", "pack", "seq (s)", "batch (s)", "speedup",
+  Table table({"case", "S", "layout", "seq (s)", "batch (s)", "speedup",
                "seq launches", "batch launches", "batch scen/s"});
   for (const auto& case_name : case_names) {
     const auto net = grid::load_case(case_name);
@@ -84,43 +76,39 @@ int main(int argc, char** argv) {
       }
 
       for (const auto layout : layouts) {
-        for (const int pack : branch_packs) {
-          auto solver = pool != nullptr
-                            ? std::make_unique<scenario::BatchAdmmSolver>(set, params, *pool)
-                            : std::make_unique<scenario::BatchAdmmSolver>(set, params);
-          scenario::BatchSolveOptions options;
-          options.layout = layout;
-          options.branch_pack = pack;
-          const auto batched = solver->solve(options);
+        auto solver = pool != nullptr
+                          ? std::make_unique<scenario::BatchAdmmSolver>(set, params, *pool)
+                          : std::make_unique<scenario::BatchAdmmSolver>(set, params);
+        scenario::BatchSolveOptions options;
+        options.layout = layout;
+        const auto batched = solver->solve(options);
 
-          const double speedup = batched.solve_seconds > 0.0
-                                     ? sequential.solve_seconds / batched.solve_seconds
-                                     : 0.0;
-          table.add_row({case_name, std::to_string(S), admm::layout_name(layout),
-                         std::to_string(pack), Table::fixed(sequential.solve_seconds, 3),
-                         Table::fixed(batched.solve_seconds, 3), Table::fixed(speedup, 2),
-                         std::to_string(sequential.launch_stats.launches),
-                         std::to_string(batched.launch_stats.launches),
-                         Table::fixed(batched.scenarios_per_second(), 1)});
+        const double speedup =
+            batched.solve_seconds > 0.0 ? sequential.solve_seconds / batched.solve_seconds : 0.0;
+        table.add_row({case_name, std::to_string(S), admm::layout_name(layout),
+                       Table::fixed(sequential.solve_seconds, 3),
+                       Table::fixed(batched.solve_seconds, 3), Table::fixed(speedup, 2),
+                       std::to_string(sequential.launch_stats.launches),
+                       std::to_string(batched.launch_stats.launches),
+                       Table::fixed(batched.scenarios_per_second(), 1)});
 
-          bench::JsonRecord record("scenario_batch", batched.num_shards, batch_workers);
-          record.field("case", case_name)
-              .field("S", S)
-              .field("engine", "batched")
-              .field("layout", admm::layout_name(layout))
-              .field("branch_pack", pack)
-              .field("solve_seconds", batched.solve_seconds)
-              .field("launches", static_cast<long long>(batched.launch_stats.launches))
-              .field("blocks", static_cast<long long>(batched.launch_stats.blocks))
-              .field("converged", batched.num_converged())
-              .field("scenarios_per_second", batched.scenarios_per_second())
-              .field("iters_per_step",
-                     batched.fused_steps > 0
-                         ? static_cast<double>(batched.branch.tron_iterations) /
-                               static_cast<double>(batched.fused_steps)
-                         : 0.0);
-          record.emit();
-        }
+        bench::JsonRecord record("scenario_batch", batched.num_shards, batch_workers);
+        record.field("case", case_name)
+            .field("S", S)
+            .field("engine", "batched")
+            .field("layout", admm::layout_name(layout))
+            .field("solve_seconds", batched.solve_seconds)
+            .field("launches", static_cast<long long>(batched.launch_stats.launches))
+            .field("blocks", static_cast<long long>(batched.launch_stats.blocks))
+            .field("converged", batched.num_converged())
+            .field("scenarios_per_second", batched.scenarios_per_second())
+            .field("iters_per_step",
+                   batched.fused_steps > 0
+                       ? static_cast<double>(batched.branch.tron_iterations) /
+                             static_cast<double>(batched.fused_steps)
+                       : 0.0)
+            .field("lane_utilisation", batched.branch.lane_utilisation());
+        record.emit();
       }
     }
   }

@@ -10,13 +10,13 @@ intersection of record keys — records only one side has are ignored, so the
 baseline may carry extra full-protocol evidence records:
 
 - kernel_breakdown "total" records, keyed by
-  (case, S, layout, solver_path, branch_pack): the branch phase's share of
+  (case, S, layout, solver_path): the branch phase's share of
   the fused loop must not exceed the baseline share by more than
   BRANCH_SHARE_TOLERANCE (absolute). Shares are time ratios, so they are
   robust to machine-speed differences between CI runners and the box the
   baseline was recorded on.
 - scenario_batch batched records, keyed by
-  (case, S, layout, branch_pack, shards): scenarios/second must stay above
+  (case, S, layout, shards): scenarios/second must stay above
   SCEN_PER_SEC_RATIO x the baseline figure. The ratio is deliberately loose
   (CI runners vary widely) — it catches structural regressions such as
   losing the branch fast path or the fused launch geometry, not percent
@@ -66,7 +66,6 @@ def breakdown_totals(records):
             rec.get("S"),
             rec.get("layout"),
             rec.get("solver_path", "fixed"),
-            rec.get("branch_pack", 1),
         )
         out[key] = rec
     return out
@@ -81,7 +80,6 @@ def batched_throughput(records):
             rec.get("case"),
             rec.get("S"),
             rec.get("layout"),
-            rec.get("branch_pack", 1),
             rec.get("shards", 1),
         )
         out[key] = rec

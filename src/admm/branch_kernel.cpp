@@ -3,20 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/error.hpp"
-
 namespace gridadmm::admm {
 
 namespace {
-
-/// One TRON solve through the selected path. The fixed path dispatches on
-/// the problem's (compile-time-known) dimension; both paths produce
-/// bit-identical iterates, so the selection is a pure speed knob.
-tron::TronResult run_tron(BranchWorkspace& ws, BranchSolverPath path, std::span<double> x) {
-  if (path == BranchSolverPath::kGeneric) return ws.generic.minimize(ws.problem, x);
-  if (x.size() == 4) return ws.solver4.minimize(ws.problem, x);
-  return ws.solver6.minimize(ws.problem, x);
-}
 
 void accumulate(BranchUpdateStats& stats, const tron::TronResult& result) {
   stats.tron_iterations += result.iterations;
@@ -25,7 +14,162 @@ void accumulate(BranchUpdateStats& stats, const tron::TronResult& result) {
   if (result.status == tron::TronStatus::kLineSearchFailed) ++stats.failures;
 }
 
+/// One TRON solve of the `live` lanes of branch group `problem` from x:
+/// lockstep, or lane by lane through the generic reference solver.
+template <int N, int W>
+void run_tron(BranchWorkspace& ws, BranchSolverPath path, BranchLanes<W>& problem,
+              tron::Lanes<W> (&x)[N], const tron::LaneMask<W>& live, int (&lane_tron)[W]) {
+  if (path == BranchSolverPath::kGeneric) {
+    for (int j = 0; j < W; ++j) {
+      if (!live[j]) continue;
+      problem.copy_lane(j, ws.problem.lanes(), 0);
+      double xj[N];
+      for (int i = 0; i < N; ++i) xj[i] = x[i][j];
+      const tron::TronResult result = ws.generic.minimize(ws.problem, {xj, N});
+      for (int i = 0; i < N; ++i) x[i].set(j, xj[i]);
+      accumulate(ws.stats, result);
+      lane_tron[j] += result.iterations;
+    }
+    return;
+  }
+  const tron::LockstepResult<W> result =
+      ws.solvers<W>().template solver<N>().minimize(problem, x, live);
+  for (int j = 0; j < W; ++j) {
+    if (!live[j]) continue;
+    accumulate(ws.stats, result.lane[j]);
+    lane_tron[j] += result.lane[j].iterations;
+  }
+  ws.stats.live_lane_passes += result.live_lanes;
+  ws.stats.lane_passes += static_cast<std::int64_t>(W) * result.passes;
+}
+
+/// branch_update_lanes for a branch of dimension N (4 unrated, 6 rated).
+template <int N, int W>
+void update_group(const ModelView& m, const AdmmParams& params,
+                  std::span<const ScenarioView* const> lanes, int l, BranchWorkspace& ws,
+                  int* lane_tron) {
+  constexpr bool kRated = N == 6;
+  BranchLanes<W>& problem = ws.solvers<W>().problem;
+  const auto base = static_cast<std::size_t>(branch_pair_base(m.num_gens, l));
+  const auto xrow = 4 * static_cast<std::size_t>(l);
+  const auto srow = 2 * static_cast<std::size_t>(l);
+  const int n = static_cast<int>(lanes.size());
+
+  // Gather each in-service lane's consensus data and start point.
+  tron::LaneMask<W> live;
+  tron::Lanes<W> x[N] = {};
+  double lam_ij[W] = {}, lam_ji[W] = {}, rho_t[W] = {}, eta[W] = {};
+  for (int j = 0; j < n; ++j) {
+    const ScenarioView& s = *lanes[static_cast<std::size_t>(j)];
+    const auto st = static_cast<std::size_t>(s.stride);
+    if (s.branch_active != nullptr && s.branch_active[static_cast<std::size_t>(l) * st] == 0) {
+      continue;  // outage
+    }
+    live.set(j, true);
+    double d[8], yk[8], rhok[8];
+    for (std::size_t k = 0; k < 8; ++k) {
+      d[k] = s.z[(base + k) * st] - s.v[(base + k) * st];
+      yk[k] = s.y[(base + k) * st];
+      rhok[k] = s.rho[(base + k) * st];
+    }
+    problem.bind(j, m.adm + 8 * l, m.vbound + 4 * l, m.rate2[l], d, yk, rhok);
+    for (std::size_t a = 0; a < 4; ++a) x[a].set(j, s.branch_x[(xrow + a) * st]);
+    if constexpr (kRated) {
+      x[4].set(j, s.branch_s[srow * st]);
+      x[5].set(j, s.branch_s[(srow + 1) * st]);
+      lam_ij[j] = s.branch_lambda[srow * st];
+      lam_ji[j] = s.branch_lambda[(srow + 1) * st];
+      rho_t[j] = params.auglag_rho0 * std::max(rhok[0], 1.0);
+      eta[j] = std::pow(rho_t[j], -0.1);
+    }
+  }
+  if (!live.any()) return;
+
+  int tron_iters[W] = {};
+  tron::Lanes<W> flows[4] = {};
+  if constexpr (!kRated) {
+    run_tron(ws, params.branch_solver, problem, x, live, tron_iters);
+    problem.eval_flows(x, live, flows);
+  } else {
+    // Augmented-Lagrangian loop on the line limits, in lockstep: each
+    // lane leaves when its violation reaches auglag_eta. Every exit follows
+    // a constraint evaluation at the lane's final x, so `flows` ends up
+    // holding each lane's flows at its solution.
+    tron::LaneMask<W> active = live;
+    for (int al = 0; al < params.auglag_max_iterations && active.any(); ++al) {
+      for (int j = 0; j < W; ++j) {
+        if (!active[j]) continue;
+        ++ws.stats.auglag_iterations;
+        problem.set_line_multipliers(j, lam_ij[j], lam_ji[j], rho_t[j]);
+      }
+      run_tron(ws, params.branch_solver, problem, x, active, tron_iters);
+      problem.eval_flows(x, active, flows);
+      for (int j = 0; j < W; ++j) {
+        if (!active[j]) continue;
+        const double cij = flows[grid::kPij][j] * flows[grid::kPij][j] +
+                           flows[grid::kQij][j] * flows[grid::kQij][j] + x[4][j];
+        const double cji = flows[grid::kPji][j] * flows[grid::kPji][j] +
+                           flows[grid::kQji][j] * flows[grid::kQji][j] + x[5][j];
+        const double viol = std::max(std::abs(cij), std::abs(cji));
+        if (viol <= eta[j]) {
+          lam_ij[j] += rho_t[j] * cij;
+          lam_ji[j] += rho_t[j] * cji;
+          if (viol <= params.auglag_eta) {
+            active.set(j, false);
+            continue;
+          }
+          eta[j] = std::max(params.auglag_eta, eta[j] * std::pow(rho_t[j], -0.9));
+        } else {
+          rho_t[j] = std::min(rho_t[j] * 10.0, params.auglag_rho_max);
+          eta[j] = std::max(params.auglag_eta, std::pow(rho_t[j], -0.1));
+        }
+      }
+    }
+  }
+
+  // Scatter: branch variables, multipliers, and the consensus u-values.
+  for (int j = 0; j < n; ++j) {
+    if (!live[j]) continue;
+    const ScenarioView& s = *lanes[static_cast<std::size_t>(j)];
+    const auto st = static_cast<std::size_t>(s.stride);
+    if constexpr (kRated) {
+      s.branch_lambda[srow * st] = lam_ij[j];
+      s.branch_lambda[(srow + 1) * st] = lam_ji[j];
+      s.branch_s[srow * st] = x[4][j];
+      s.branch_s[(srow + 1) * st] = x[5][j];
+    }
+    for (std::size_t a = 0; a < 4; ++a) s.branch_x[(xrow + a) * st] = x[a][j];
+    s.u[(base + kPairPij) * st] = flows[grid::kPij][j];
+    s.u[(base + kPairQij) * st] = flows[grid::kQij][j];
+    s.u[(base + kPairPji) * st] = flows[grid::kPji][j];
+    s.u[(base + kPairQji) * st] = flows[grid::kQji][j];
+    s.u[(base + kPairWi) * st] = x[0][j] * x[0][j];
+    s.u[(base + kPairThi) * st] = x[2][j];
+    s.u[(base + kPairWj) * st] = x[1][j] * x[1][j];
+    s.u[(base + kPairThj) * st] = x[3][j];
+    if (lane_tron != nullptr) lane_tron[j] = tron_iters[j];
+  }
+}
+
 }  // namespace
+
+template <int W>
+void branch_update_lanes(const ModelView& m, const AdmmParams& params,
+                         std::span<const ScenarioView* const> lanes, int l, BranchWorkspace& ws,
+                         int* lane_tron) {
+  if (m.rate2[l] > 0.0) {
+    update_group<6, W>(m, params, lanes, l, ws, lane_tron);
+  } else {
+    update_group<4, W>(m, params, lanes, l, ws, lane_tron);
+  }
+}
+
+template void branch_update_lanes<1>(const ModelView&, const AdmmParams&,
+                                     std::span<const ScenarioView* const>, int, BranchWorkspace&,
+                                     int*);
+template void branch_update_lanes<kBranchLanes>(const ModelView&, const AdmmParams&,
+                                                std::span<const ScenarioView* const>, int,
+                                                BranchWorkspace&, int*);
 
 void ensure_branch_lanes(std::vector<BranchWorkspace>& lanes, int workers,
                          const AdmmParams& params) {
@@ -37,92 +181,21 @@ void ensure_branch_lanes(std::vector<BranchWorkspace>& lanes, int workers,
   for (auto& lane : lanes) lane.bind_options(params.tron);
 }
 
-void branch_update_one(const ModelView& m, const AdmmParams& params, const ScenarioView& s, int l,
-                       BranchWorkspace& ws) {
-  const auto st = static_cast<std::size_t>(s.stride);
-  if (s.branch_active != nullptr && s.branch_active[static_cast<std::size_t>(l) * st] == 0) {
-    return;  // outage
-  }
-  const auto base = static_cast<std::size_t>(branch_pair_base(m.num_gens, l));
-  double d[8], yk[8], rhok[8];
-  for (std::size_t k = 0; k < 8; ++k) {
-    d[k] = s.z[(base + k) * st] - s.v[(base + k) * st];
-    yk[k] = s.y[(base + k) * st];
-    rhok[k] = s.rho[(base + k) * st];
-  }
-  const double rate2 = m.rate2[l];
-  ws.problem.bind(m.adm + 8 * l, m.vbound + 4 * l, rate2, d, yk, rhok);
-
-  double x[6];
-  for (std::size_t a = 0; a < 4; ++a) x[a] = s.branch_x[(4 * static_cast<std::size_t>(l) + a) * st];
-  const bool rated = rate2 > 0.0;
-
-  if (!rated) {
-    ws.problem.set_line_multipliers(0.0, 0.0, 0.0);
-    accumulate(ws.stats, run_tron(ws, params.branch_solver, {x, 4}));
-  } else {
-    const auto sl = 2 * static_cast<std::size_t>(l);
-    x[4] = s.branch_s[sl * st];
-    x[5] = s.branch_s[(sl + 1) * st];
-    double lam_ij = s.branch_lambda[sl * st];
-    double lam_ji = s.branch_lambda[(sl + 1) * st];
-    double rho_t = params.auglag_rho0 * std::max(rhok[0], 1.0);
-    double eta = std::pow(rho_t, -0.1);
-    for (int al = 0; al < params.auglag_max_iterations; ++al) {
-      ++ws.stats.auglag_iterations;
-      ws.problem.set_line_multipliers(lam_ij, lam_ji, rho_t);
-      accumulate(ws.stats, run_tron(ws, params.branch_solver, {x, 6}));
-      double cij = 0.0, cji = 0.0;
-      ws.problem.constraint_values({x, 6}, cij, cji);
-      const double viol = std::max(std::abs(cij), std::abs(cji));
-      if (viol <= eta) {
-        lam_ij += rho_t * cij;
-        lam_ji += rho_t * cji;
-        if (viol <= params.auglag_eta) break;
-        eta = std::max(params.auglag_eta, eta * std::pow(rho_t, -0.9));
-      } else {
-        rho_t = std::min(rho_t * 10.0, params.auglag_rho_max);
-        eta = std::max(params.auglag_eta, std::pow(rho_t, -0.1));
-      }
-    }
-    s.branch_lambda[sl * st] = lam_ij;
-    s.branch_lambda[(sl + 1) * st] = lam_ji;
-    s.branch_s[sl * st] = x[4];
-    s.branch_s[(sl + 1) * st] = x[5];
-  }
-
-  for (std::size_t a = 0; a < 4; ++a) {
-    s.branch_x[(4 * static_cast<std::size_t>(l) + a) * st] = x[a];
-  }
-  const grid::FlowValues f = grid::eval_flows(
-      grid::BranchAdmittance{m.adm[8 * l + 0], m.adm[8 * l + 1], m.adm[8 * l + 2], m.adm[8 * l + 3],
-                             m.adm[8 * l + 4], m.adm[8 * l + 5], m.adm[8 * l + 6], m.adm[8 * l + 7]},
-      x[0], x[1], x[2], x[3]);
-  s.u[(base + kPairPij) * st] = f[grid::kPij];
-  s.u[(base + kPairQij) * st] = f[grid::kQij];
-  s.u[(base + kPairPji) * st] = f[grid::kPji];
-  s.u[(base + kPairQji) * st] = f[grid::kQji];
-  s.u[(base + kPairWi) * st] = x[0] * x[0];
-  s.u[(base + kPairThi) * st] = x[2];
-  s.u[(base + kPairWj) * st] = x[1] * x[1];
-  s.u[(base + kPairThj) * st] = x[3];
-}
-
 void update_branches(device::Device& dev, const ComponentModel& model, const AdmmParams& params,
                      AdmmState& state, BranchUpdateStats* stats) {
   const ModelView m = make_model_view(model);
   const ScenarioView s = make_scenario_view(model, state);
 
   // The lanes live in the state: allocated on the first launch, reused by
-  // every later one. The old per-launch std::vector<BranchWorkspace> cost a
-  // full TronSolver heap construction per lane per ADMM iteration.
+  // every later one.
   std::vector<BranchWorkspace>& lanes = state.branch_lanes;
   ensure_branch_lanes(lanes, dev.workers(), params);
 
-  dev.launch_with_lane(model.num_branches,
-                       [&lanes, &params, m, s](int l, int lane_id) {
-                         branch_update_one(m, params, s, l, lanes[lane_id]);
-                       });
+  // One block per branch, each a one-lane lockstep group.
+  dev.launch_with_lane(model.num_branches, [&lanes, &params, m, &s](int l, int lane_id) {
+    const ScenarioView* view = &s;
+    branch_update_lanes<1>(m, params, {&view, 1}, l, lanes[static_cast<std::size_t>(lane_id)]);
+  });
 
   for (auto& lane : lanes) {
     if (stats != nullptr) *stats += lane.stats;

@@ -7,12 +7,17 @@
 // quadratic penalties, and the line limits p^2+q^2+s = 0 (s in [-rate^2, 0])
 // are handled by a LANCELOT-style augmented Lagrangian whose multipliers
 // persist across ADMM iterations (warm start). Each subproblem is solved by
-// TRON — by default the fixed-dimension devirtualized fast path
-// (tron/small_tron.hpp; AdmmParams::branch_solver selects the generic
-// reference instead, bit-identically). The batch runs one device block per
-// branch, exactly the ExaTron execution model of paper Section III-B; see
-// admm/branch_problem.hpp for the problem and per-lane workspace types.
+// lockstep TRON (tron/lockstep_tron.hpp): a device block solves one branch
+// for a group of up to W scenario lanes together, the ExaTron thread-block
+// model of paper Section III-B with scenarios in the SIMD lanes. The
+// single-scenario kernel runs W = 1 (one block per branch); the fused batch
+// kernel runs W = kBranchLanes. AdmmParams::branch_solver = kGeneric swaps
+// the lockstep solver for the generic reference TronSolver, lane by lane,
+// bit-identically. See admm/branch_problem.hpp for the problem and
+// per-lane workspace types.
 #pragma once
+
+#include <span>
 
 #include "admm/branch_problem.hpp"
 #include "admm/kernels_core.hpp"
@@ -25,12 +30,24 @@ namespace gridadmm::admm {
 void update_branches(device::Device& dev, const ComponentModel& model, const AdmmParams& params,
                      AdmmState& state, BranchUpdateStats* stats = nullptr);
 
-/// Solves the branch-l subproblem against the scenario's iterate: the full
-/// TRON (+ LANCELOT augmented-Lagrangian when rated) solve of one device
-/// block. Exposed so the fused multi-scenario batch kernel can reuse it.
-/// Out-of-service branches (scenario outage mask) are skipped.
-void branch_update_one(const ModelView& m, const AdmmParams& params, const ScenarioView& s, int l,
-                       BranchWorkspace& ws);
+/// Solves the branch-l subproblem against each of up to W scenario
+/// iterates (`lanes[j]` is lane j's view) in lockstep: the full TRON (+
+/// LANCELOT augmented-Lagrangian when rated) solve of one device block.
+/// Lanes whose scenario has the branch out of service are masked off. If
+/// `lane_tron` is non-null, lane_tron[j] receives the TRON iterations lane
+/// j spent. Work counters accumulate into ws.stats. Instantiated for W = 1
+/// and W = kBranchLanes.
+template <int W>
+void branch_update_lanes(const ModelView& m, const AdmmParams& params,
+                         std::span<const ScenarioView* const> lanes, int l, BranchWorkspace& ws,
+                         int* lane_tron = nullptr);
+
+extern template void branch_update_lanes<1>(const ModelView&, const AdmmParams&,
+                                            std::span<const ScenarioView* const>, int,
+                                            BranchWorkspace&, int*);
+extern template void branch_update_lanes<kBranchLanes>(const ModelView&, const AdmmParams&,
+                                                       std::span<const ScenarioView* const>, int,
+                                                       BranchWorkspace&, int*);
 
 /// Sizes `lanes` to one workspace per device worker and rebinds the TRON
 /// options, which may have changed between solves. When the size already

@@ -13,8 +13,8 @@ namespace gridadmm::admm {
 /// fast path is checked against and for problems outside the fixed 4/6-dim
 /// branch family.
 enum class BranchSolverPath {
-  kFixedDim,  ///< stack-state SmallTronSolver<4/6>, statically bound (default)
-  kGeneric,   ///< heap-state TronSolver with virtual problem dispatch
+  kFixedDim,  ///< lockstep LockstepTron<4/6, W> over scenario lanes (default)
+  kGeneric,   ///< heap-state TronSolver with virtual problem dispatch, lane by lane
 };
 
 inline const char* branch_path_name(BranchSolverPath path) {

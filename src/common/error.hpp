@@ -84,10 +84,22 @@ inline void require(bool cond, const std::string& msg) {
   if (!cond) throw GridError(msg);
 }
 
+/// Literal-message overload: the std::string is built only on failure, so
+/// a passing check costs one branch (the std::string overload would
+/// heap-allocate the literal on every call, even when the check passes).
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw GridError(msg);
+}
+
 /// Throws ValidationError with `msg` if `cond` is false. Used for checks on
 /// caller-supplied inputs (scenario definitions, solve requests), so
 /// clients can distinguish malformed requests from internal faults.
 inline void require_valid(bool cond, const std::string& msg) {
+  if (!cond) throw ValidationError(msg);
+}
+
+/// Literal-message overload of require_valid (see require above).
+inline void require_valid(bool cond, const char* msg) {
   if (!cond) throw ValidationError(msg);
 }
 

@@ -1,30 +1,21 @@
 #include "grid/flows.hpp"
 
-#include <cmath>
-
 namespace gridadmm::grid {
 
 FlowValues eval_flows(const BranchAdmittance& y, double vi, double vj, double ti, double tj) {
-  const double c = std::cos(ti - tj);
-  const double s = std::sin(ti - tj);
-  const double vv = vi * vj;
   FlowValues out;
-  for (int flow = 0; flow < 4; ++flow) {
-    const detail::Coeffs k = detail::coeffs(y, flow);
-    const double vside = k.side == 0 ? vi : vj;
-    out.f[flow] = k.alpha * vside * vside + vv * (k.a * c + k.b * s);
-  }
+  flow_values(flow_form(y), vi, vj, flow_trig(vi, vj, ti, tj), out.f);
   return out;
 }
 
 void eval_flow_gradients(const BranchAdmittance& y, double vi, double vj, double ti, double tj,
                          FlowValues& values, FlowGradients& grads) {
-  eval_flow_gradients(y, vi, vj, flow_trig(vi, vj, ti, tj), values, grads);
+  flow_gradients(flow_form(y), vi, vj, flow_trig(vi, vj, ti, tj), values.f, grads.g);
 }
 
 void accumulate_flow_hessian(const BranchAdmittance& y, double vi, double vj, double ti,
                              double tj, const std::array<double, 4>& w, double h[16]) {
-  accumulate_flow_hessian(y, vi, vj, flow_trig(vi, vj, ti, tj), w, h);
+  add_flow_hessian(flow_form(y), vi, vj, flow_trig(vi, vj, ti, tj), w, h);
 }
 
 }  // namespace gridadmm::grid

@@ -27,7 +27,7 @@
 // lifetime; any other non-empty value enables AND names a JSON file the
 // trace is flushed to at process exit. ServiceOptions/BatchSolveOptions/
 // TrackingOptions carry a `trace` knob that enables the process tracer
-// (the established layout/branch_pack plumbing pattern).
+// (the established layout plumbing pattern).
 #pragma once
 
 #include <atomic>

@@ -144,7 +144,6 @@ BatchTrackingResult run_batched_tracking_impl(const grid::Network& net,
   scenario::BatchSolveOptions solve_options;
   solve_options.ping_pong = options.ping_pong;
   solve_options.layout = options.layout;
-  solve_options.branch_pack = options.branch_pack;
   solve_options.trace = options.trace;
   solve_options.convergence_sample_interval = options.convergence_sample_interval;
   if (options.trace) obs::Tracer::instance().enable();

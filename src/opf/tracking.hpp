@@ -39,10 +39,6 @@ struct TrackingOptions {
   /// (see scenario::BatchSolveOptions::layout). Interleaved vectorizes the
   /// elementwise kernels across profiles; results are identical either way.
   admm::BatchLayout layout = admm::BatchLayout::kScenarioMajor;
-  /// Batched mode only: branch-pack factor of the TRON branch phase (see
-  /// scenario::BatchSolveOptions::branch_pack). Results are identical for
-  /// every value.
-  int branch_pack = 1;
   /// Enables the process-wide obs::Tracer for the run: sequential mode
   /// emits one tracking.period span per period, batched mode traces each
   /// period's fused wave (see scenario::BatchSolveOptions::trace).

@@ -56,32 +56,40 @@ void batch_update_generators(device::Device& dev, const ModelView& m,
 
 void batch_update_branches(device::Device& dev, const ModelView& m,
                            const admm::AdmmParams& params, std::span<const ScenarioView> views,
-                           std::span<const int> slots, int pack,
-                           std::vector<admm::BranchWorkspace>& lanes,
+                           std::span<const int> slots, std::vector<admm::BranchWorkspace>& lanes,
                            admm::BranchUpdateStats* stats, std::span<std::uint64_t> slot_tron,
                            int row_stride) {
+  constexpr int W = admm::kBranchLanes;
   const int nl = m.num_branches;
   admm::ensure_branch_lanes(lanes, dev.workers(), params);
   std::fill(slot_tron.begin(), slot_tron.end(), 0);
 
-  // ceil(total / pack) blocks; block b sweeps the `pack` consecutive
-  // (scenario, branch) subproblems starting at b * pack with one lane
-  // workspace. Each subproblem's solve is independent, so the grouping (and
-  // which worker lane runs it) cannot change any iterate.
-  const int total = static_cast<int>(slots.size()) * nl;
-  const int blocks = (total + pack - 1) / pack;
-  dev.launch_with_lane(blocks, [&lanes, &params, m, views, slots, nl, pack, total, slot_tron,
-                                row_stride](int b, int lane_id) {
-    const int end = std::min((b + 1) * pack, total);
-    for (int t = b * pack; t < end; ++t) {
-      const int s = slots[static_cast<std::size_t>(t / nl)];
-      const std::uint64_t before = lanes[lane_id].stats.tron_iterations;
-      admm::branch_update_one(m, params, views[static_cast<std::size_t>(s)], t % nl,
-                              lanes[lane_id]);
-      if (!slot_tron.empty()) {
+  // One block per (group, branch): group g is the W consecutive active
+  // slots starting at g * W, solved in lockstep. A one-slot group (the
+  // tail of an active count that is 1 mod W, or a one-scenario batch) runs
+  // the one-lane solver instead of W lanes with three masked off.
+  const int n = static_cast<int>(slots.size());
+  const int groups = (n + W - 1) / W;
+  dev.launch_with_lane(groups * nl, [&lanes, &params, m, views, slots, nl, n, slot_tron,
+                                     row_stride](int b, int lane_id) {
+    const int first = (b / nl) * W;
+    const int count = std::min(n - first, admm::kBranchLanes);
+    const ScenarioView* group[W];
+    for (int j = 0; j < count; ++j) {
+      group[j] = &views[static_cast<std::size_t>(slots[static_cast<std::size_t>(first + j)])];
+    }
+    int tron[W] = {};
+    admm::BranchWorkspace& ws = lanes[static_cast<std::size_t>(lane_id)];
+    if (count == 1) {
+      admm::branch_update_lanes<1>(m, params, {group, 1}, b % nl, ws, tron);
+    } else {
+      admm::branch_update_lanes<W>(m, params, {group, static_cast<std::size_t>(count)}, b % nl,
+                                   ws, tron);
+    }
+    if (!slot_tron.empty()) {
+      for (int j = 0; j < count; ++j) {
         slot_tron[static_cast<std::size_t>(lane_id) * row_stride +
-                  static_cast<std::size_t>(t / nl)] +=
-            lanes[lane_id].stats.tron_iterations - before;
+                  static_cast<std::size_t>(first + j)] += static_cast<std::uint64_t>(tron[j]);
       }
     }
   });

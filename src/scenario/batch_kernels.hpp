@@ -16,8 +16,9 @@
 // shared update math across scenarios); partial groups — tiles with
 // retired lanes — iterate only their active lanes. Block count drops by
 // ~kTileWidth and each block touches one contiguous tile row per array.
-// The TRON-based branch kernel stays block-per-branch in both layouts (a
-// nonconvex iterative solve does not lane-vectorize); it reads the same
+// The TRON-based branch kernel groups scenarios its own way in both
+// layouts: one block per (branch, group of admm::kBranchLanes consecutive
+// active slots), the group solved by lockstep TRON; it reads the same
 // strided views.
 //
 // Residual reductions are per (worker lane, slot): `partial` arrays hold
@@ -61,15 +62,13 @@ void batch_update_generators(device::Device& dev, const admm::ModelView& m,
 /// avoids per-iteration solver construction. Each call accumulates the
 /// lanes' work into `stats` and clears the lane counters.
 ///
-/// `pack` is the branch-pack factor: the launch covers the
-/// |slots| * num_branches (scenario, branch) subproblems with
-/// ceil(total / pack) blocks, each block sweeping `pack` consecutive
-/// subproblems in a lane loop — the TRON analogue of the TileGroup block
-/// amortization of the elementwise kernels. Every subproblem is still
-/// solved exactly once by exactly one lane workspace and each solve is
-/// independent and deterministic, so results are bit-identical for every
-/// pack value; only per-block dispatch overhead changes. pack = 1 is the
-/// classic ExaTron one-block-per-branch launch.
+/// Launch geometry: the active slots are cut into groups of
+/// admm::kBranchLanes consecutive slots, and the launch issues one block per
+/// (group, branch) — num_branches * ceil(|slots| / kBranchLanes) blocks.
+/// A block solves its branch for every scenario of its group in lockstep
+/// (admm::branch_update_lanes, tron/lockstep_tron.hpp); each lane runs the
+/// exact scalar operation sequence, so results are bit-identical to one
+/// block per (scenario, branch) and to the single-scenario kernel.
 ///
 /// `slot_tron` (optional, for convergence telemetry): when non-empty it
 /// must hold dev.workers() rows of `row_stride` entries (row_stride >=
@@ -81,7 +80,7 @@ void batch_update_generators(device::Device& dev, const admm::ModelView& m,
 void batch_update_branches(device::Device& dev, const admm::ModelView& m,
                            const admm::AdmmParams& params,
                            std::span<const admm::ScenarioView> views, std::span<const int> slots,
-                           int pack, std::vector<admm::BranchWorkspace>& lanes,
+                           std::vector<admm::BranchWorkspace>& lanes,
                            admm::BranchUpdateStats* stats,
                            std::span<std::uint64_t> slot_tron = {}, int row_stride = 0);
 

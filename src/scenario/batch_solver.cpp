@@ -486,8 +486,8 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
       batch_update_generators(*shard.dev, mview_, views, slots);
     }
     take_phase(shard.phases.generator_seconds, "fused.generator");
-    batch_update_branches(*shard.dev, mview_, params_, views, slots, options.branch_pack,
-                          shard.branch_lanes, &shard.branch_stats,
+    batch_update_branches(*shard.dev, mview_, params_, views, slots, shard.branch_lanes,
+                          &shard.branch_stats,
                           sample_interval > 0 ? std::span<std::uint64_t>(shard.tron_partial)
                                               : std::span<std::uint64_t>{},
                           row);
@@ -691,7 +691,6 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
   WallTimer total;
   ScenarioReport report;
   const int S = num_scenarios();
-  require(options.branch_pack >= 1, "BatchAdmmSolver::solve: branch_pack must be >= 1");
   if (options.trace) obs::Tracer::instance().enable();
   const obs::TraceSpan solve_span("solver.solve", "scenarios", static_cast<std::uint64_t>(S),
                                   "shards", static_cast<std::uint64_t>(num_shards()));

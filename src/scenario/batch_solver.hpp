@@ -18,10 +18,11 @@
 // merges into one per-scenario report.
 //
 // Each fused step launches the four component kernels over
-// active-scenarios x components blocks per shard, so the launch count per
-// step is constant in S and per-shard *block* counts scale as ~S/D — the
-// ExaTron one-block-per-subproblem execution model widened across
-// scenarios and then dealt across devices.
+// active-scenarios x components blocks per shard (the branch kernel over
+// branches x groups of kBranchLanes scenarios, solved in lockstep), so the
+// launch count per step is constant in S and per-shard *block* counts
+// scale as ~S/D — the ExaTron one-block-per-subproblem execution model
+// widened across scenarios and then dealt across devices.
 //
 // Warm-start seeding: with `warm_start_from_base` the base case is solved
 // once and its full iterate fans out to every chain-root scenario; tracking
@@ -57,15 +58,6 @@ struct BatchSolveOptions {
   /// tests/test_batch_admm.cpp); interleaved is the throughput layout for
   /// S >= kTileWidth, scenario-major avoids tile padding for tiny batches.
   admm::BatchLayout layout = admm::BatchLayout::kScenarioMajor;
-  /// Branch-pack factor of the TRON branch phase: each branch-phase block
-  /// sweeps this many consecutive (scenario, branch) subproblems, so the
-  /// launch issues ceil(active_branches / pack) blocks instead of one per
-  /// branch — the same per-block dispatch amortization TileGroups give the
-  /// elementwise phases. Results are bit-identical for every value
-  /// (asserted by tests/test_batch_admm.cpp); larger packs trade dynamic
-  /// load balance for lower dispatch overhead, which pays off when
-  /// blocks >> workers. Must be >= 1.
-  int branch_pack = 1;
   /// Solve the unmodified base case first (sequentially) and fan its full
   /// iterate out to every chain-root scenario as a warm start.
   bool warm_start_from_base = false;

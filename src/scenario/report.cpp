@@ -25,12 +25,14 @@ void ScenarioReport::print(std::FILE* out) const {
   std::fputs(table.to_string().c_str(), out);
   std::fprintf(out,
                "%d/%zu converged | solve %.3f s (%.1f scenarios/s) | "
-               "%llu kernel launches, %llu blocks across %d shard%s | %llu transfers in loop\n",
+               "%llu kernel launches, %llu blocks across %d shard%s | %llu transfers in loop | "
+               "branch lane utilisation %.3f\n",
                num_converged(), records.size(), solve_seconds, scenarios_per_second(),
                static_cast<unsigned long long>(launch_stats.launches),
                static_cast<unsigned long long>(launch_stats.blocks), num_shards,
                num_shards == 1 ? "" : "s",
-               static_cast<unsigned long long>(transfers_during_iterations));
+               static_cast<unsigned long long>(transfers_during_iterations),
+               branch.lane_utilisation());
 }
 
 }  // namespace gridadmm::scenario

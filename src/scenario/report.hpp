@@ -72,7 +72,10 @@ struct ScenarioReport {
   /// Per-shard launch attribution (one entry per device; sums to
   /// launch_stats). Per-shard block counts scale as ~S/D.
   std::vector<device::LaunchStats> shard_launches;
-  admm::BranchUpdateStats branch;    ///< aggregate branch work (batch level)
+  /// Aggregate branch work (batch level), including the lockstep TRON
+  /// groups' lane occupancy: branch.lane_utilisation() is live lane-
+  /// iterations / (W x group iterations) over the whole solve.
+  admm::BranchUpdateStats branch;
   /// Host<->device transfers observed during the fused iteration loop.
   /// Measured against the process-wide transfer counters: exact when one
   /// solve runs at a time (how the zero-copy-loop claim is asserted by

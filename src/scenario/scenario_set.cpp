@@ -14,7 +14,10 @@ namespace {
 /// Input validation: throws ValidationError (not the generic GridError) so
 /// callers — the serve layer in particular — can map "your request is
 /// malformed" to a client error instead of a server fault.
-constexpr auto validate = require_valid;
+template <typename Message>
+void validate(bool cond, const Message& msg) {
+  require_valid(cond, msg);
+}
 
 }  // namespace
 

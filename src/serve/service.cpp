@@ -34,7 +34,10 @@ std::uint64_t request_key(std::uint64_t fingerprint, int outage_branch) {
   return fingerprint ^ (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(outage_branch + 2));
 }
 
-constexpr auto validate = require_valid;
+template <typename Message>
+void validate(bool cond, const Message& msg) {
+  require_valid(cond, msg);
+}
 
 }  // namespace
 
@@ -810,7 +813,6 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
     }
     scenario::BatchSolveOptions solve_options;
     solve_options.layout = options_.layout;
-    solve_options.branch_pack = options_.branch_pack;
     solve_options.convergence_sample_interval = options_.convergence_sample_interval;
     solve_options.initial_iterates.assign(members.size(), nullptr);
     for (std::size_t s = 0; s < members.size(); ++s) {
@@ -921,7 +923,6 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
             scenario::BatchAdmmSolver rescue(solo, params_, &device);
             scenario::BatchSolveOptions rescue_options;
             rescue_options.layout = options_.layout;
-            rescue_options.branch_pack = options_.branch_pack;
             rescue_options.convergence_sample_interval = options_.convergence_sample_interval;
             rescue_options.initial_iterates.assign(1, &iterate);
             device::LaunchStats rescue_launches;

@@ -86,10 +86,6 @@ struct ServiceOptions {
   /// elementwise kernels across the batch's requests; results are
   /// identical either way.
   admm::BatchLayout layout = admm::BatchLayout::kScenarioMajor;
-  /// Branch-pack factor of the fused micro-batch solves' TRON branch phase
-  /// (see scenario::BatchSolveOptions::branch_pack). Results are identical
-  /// for every value.
-  int branch_pack = 1;
   /// Devices in the service-owned pool. Micro-batches are routed to the
   /// least-loaded device, so up to num_devices batches solve concurrently.
   int num_devices = 1;
@@ -104,7 +100,7 @@ struct ServiceOptions {
   /// Enables the process-wide obs::Tracer at construction, so the request
   /// lifecycle (admit -> queue -> dispatch -> per-shard solve -> fulfill)
   /// lands in the Chrome trace. Equivalent to GRIDADMM_TRACE=1; the same
-  /// plumbing pattern as layout/branch_pack.
+  /// plumbing pattern as layout.
   bool trace = false;
   /// Per-scenario convergence sampling interval of the fused micro-batch
   /// solves (see scenario::BatchSolveOptions::convergence_sample_interval);

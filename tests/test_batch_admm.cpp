@@ -10,6 +10,7 @@
 #include "device/pool.hpp"
 #include "grid/cases.hpp"
 #include "opf/tracking.hpp"
+#include "scenario/batch_kernels.hpp"
 #include "scenario/batch_plan.hpp"
 #include "scenario/batch_solver.hpp"
 #include "scenario/scenario_set.hpp"
@@ -19,6 +20,22 @@ namespace {
 
 double rel_diff(double a, double b) {
   return std::abs(a - b) / std::max(1.0, std::abs(b));
+}
+
+/// Branch-phase blocks of one single-wave fused loop over `members`: a
+/// scenario that ran k inner iterations is active in the first k fused
+/// steps, and a step with `active` scenarios launches num_branches *
+/// ceil(active / kBranchLanes) branch blocks (one per lockstep group).
+std::uint64_t branch_blocks(const ScenarioReport& report, const std::vector<int>& members,
+                            int num_branches) {
+  constexpr int W = admm::kBranchLanes;
+  std::uint64_t blocks = 0;
+  for (int step = 0;; ++step) {
+    int active = 0;
+    for (const int s : members) active += report.records[s].inner_iterations > step ? 1 : 0;
+    if (active == 0) return blocks;
+    blocks += static_cast<std::uint64_t>(num_branches) * static_cast<std::uint64_t>((active + W - 1) / W);
+  }
 }
 
 TEST(BatchAdmm, SixteenLoadScenariosMatchSequentialWithFewerLaunches) {
@@ -387,13 +404,28 @@ TEST(BatchAdmm, ShardedSolveMatchesSingleDeviceAcrossShardCounts) {
     // Per-shard launch attribution: one entry per device, summing to the
     // aggregate; block counts partition the single-device work exactly
     // (identical iterate sequences => identical per-scenario work), with
-    // each shard carrying ~S/D of it.
+    // each shard carrying ~S/D of it. The branch phase is the exception by
+    // construction: its blocks are lockstep groups of each shard's own
+    // active scenarios, so they are counted per shard.
     ASSERT_EQ(sharded.shard_launches.size(), static_cast<std::size_t>(D));
     device::LaunchStats sum;
     for (const auto& shard : sharded.shard_launches) sum += shard;
     EXPECT_EQ(sum.launches, sharded.launch_stats.launches);
     EXPECT_EQ(sum.blocks, sharded.launch_stats.blocks);
-    EXPECT_EQ(sum.blocks, single.launch_stats.blocks);
+    std::vector<int> everyone;
+    std::vector<std::vector<int>> members(static_cast<std::size_t>(D));
+    for (int s = 0; s < set.size(); ++s) {
+      everyone.push_back(s);
+      members[static_cast<std::size_t>(solver.plan().shard_of[static_cast<std::size_t>(s)])]
+          .push_back(s);
+    }
+    std::uint64_t shard_branch_blocks = 0;
+    for (const auto& shard : members) {
+      shard_branch_blocks += branch_blocks(sharded, shard, net.num_branches());
+    }
+    EXPECT_EQ(sum.blocks, single.launch_stats.blocks -
+                              branch_blocks(single, everyone, net.num_branches()) +
+                              shard_branch_blocks);
     if (D > 1) {
       const auto fair_share = single.launch_stats.blocks / static_cast<std::uint64_t>(D);
       for (const auto& shard : sharded.shard_launches) {
@@ -766,12 +798,12 @@ TEST(BatchAdmm, SteadyStateSolveAllocatesNoDeviceMemory) {
 }
 
 TEST(BatchAdmm, FixedDimBranchPathMatchesGenericAcrossLayoutsAndShards) {
-  // The branch fast path's acceptance bar: with the fixed-dimension
-  // devirtualized TRON (the default) the batch engine must reproduce the
+  // The branch fast path's acceptance bar: with lockstep TRON over
+  // scenario lanes (the default) the batch engine must reproduce the
   // generic TronSolver path bit for bit — identical per-scenario iteration
   // counts, residual doubles, and objectives — across both memory layouts
   // and 1/2/4 shards. S = 13 straddles a tile boundary so the interleaved
-  // repacking runs too.
+  // repacking runs too, and leaves partly filled lockstep groups.
   const auto net = grid::load_embedded_case("case9");
   auto params = admm::params_for_case("case9", net.num_buses());
   ScenarioSet set(net);
@@ -809,7 +841,7 @@ TEST(BatchAdmm, FixedDimBranchPathMatchesGenericAcrossLayoutsAndShards) {
 
 TEST(BatchAdmm, FixedDimBranchPathMatchesGenericOnRatedAndOutagedBranches) {
   // case30 carries line ratings, so this exercises the 6-variable
-  // augmented-Lagrangian fast path (SmallTronSolver<6>) plus outage masks;
+  // augmented-Lagrangian fast path (LockstepTron<6, W>) plus outage masks;
   // budgets are capped to keep the solves fast (capped scenarios exhaust
   // the budget on the identical iterate either way).
   const auto net = grid::load_embedded_case("case30");
@@ -875,44 +907,37 @@ TEST(BatchAdmm, FixedDimBranchPathMatchesGenericThroughPingPongChains) {
   }
 }
 
-TEST(BatchAdmm, BranchPackIsBitIdenticalAndCutsBranchBlocks) {
-  // The branch-pack knob may only change launch geometry: every pack value
-  // must reproduce pack=1 bit for bit while issuing fewer blocks (each
-  // block sweeps `pack` subproblems, so the branch phase's block count
-  // drops by ~pack).
+TEST(BatchAdmm, BranchLaunchIssuesOneBlockPerBranchAndLaneGroup) {
+  // The lockstep branch kernel's launch geometry: one block per (branch,
+  // group of up to kBranchLanes consecutive active slots), so one branch
+  // launch issues num_branches * ceil(active / kBranchLanes) blocks —
+  // partial tail groups included, outaged lanes masked inside their group.
   const auto net = grid::load_embedded_case("case9");
   const auto params = admm::params_for_case("case9", net.num_buses());
-  ScenarioSet set(net);
-  set.add_load_scale(8, 0.94, 1.06);
+  const auto model = admm::build_component_model(net, params);
+  const admm::ModelView m = admm::make_model_view(model);
+  constexpr int S = 10;
+  auto state = admm::BatchAdmmState::zeros(model, S);
+  std::vector<admm::ScenarioView> views;
+  for (int s = 0; s < S; ++s) views.push_back(state.view(model, s));
+  state.branch_active.data()[3 * static_cast<std::size_t>(model.num_branches)] = 0;  // outage
 
-  BatchAdmmSolver reference(set, params);
-  const auto base = reference.solve();
-
-  std::uint64_t prev_blocks = base.launch_stats.blocks;
-  for (const int pack : {3, 8, 64}) {
-    SCOPED_TRACE("pack " + std::to_string(pack));
-    BatchAdmmSolver solver(set, params);
-    BatchSolveOptions options;
-    options.branch_pack = pack;
-    const auto packed = solver.solve(options);
-    for (int s = 0; s < set.size(); ++s) {
-      SCOPED_TRACE("scenario " + std::to_string(s));
-      EXPECT_EQ(packed.records[s].inner_iterations, base.records[s].inner_iterations);
-      EXPECT_DOUBLE_EQ(packed.records[s].primal_residual, base.records[s].primal_residual);
-      EXPECT_DOUBLE_EQ(packed.records[s].dual_residual, base.records[s].dual_residual);
-      EXPECT_DOUBLE_EQ(packed.records[s].objective, base.records[s].objective);
-    }
-    // Same launches (launch count per fused step is constant in S and
-    // pack), strictly fewer blocks as the pack grows.
-    EXPECT_EQ(packed.launch_stats.launches, base.launch_stats.launches);
-    EXPECT_LT(packed.launch_stats.blocks, prev_blocks);
-    prev_blocks = packed.launch_stats.blocks;
+  device::Device dev(2);
+  std::vector<admm::BranchWorkspace> lanes;
+  constexpr int W = admm::kBranchLanes;
+  for (const int active : {10, 9, 5, 4, 1}) {
+    SCOPED_TRACE("active " + std::to_string(active));
+    std::vector<int> slots;
+    for (int s = 0; s < active; ++s) slots.push_back(S - 1 - s);  // any slot order
+    admm::BranchUpdateStats stats;
+    const auto before = dev.stats();
+    batch_update_branches(dev, m, params, views, slots, lanes, &stats);
+    const auto launched = dev.stats() - before;
+    EXPECT_EQ(launched.launches, 1u);
+    EXPECT_EQ(launched.blocks,
+              static_cast<std::uint64_t>(model.num_branches) * ((active + W - 1) / W));
+    EXPECT_GT(stats.tron_iterations + stats.function_evals, 0);
   }
-
-  BatchSolveOptions bad;
-  bad.branch_pack = 0;
-  BatchAdmmSolver invalid(set, params);
-  EXPECT_THROW(invalid.solve(bad), GridError);
 }
 
 TEST(BatchAdmm, RunBatchedTrackingProducesPerProfileRecords) {

@@ -1273,6 +1273,9 @@ TEST(SolveService, EscalationRungRecoversStalledRequestSolo) {
   EXPECT_TRUE(result.escalated);
   EXPECT_TRUE(result.converged);  // the boosted solo retry finished the job
 
+  // The future is fulfilled before the batch's telemetry commits; drain()
+  // waits for the commit.
+  service.drain();
   const auto stats = service.stats();
   EXPECT_EQ(stats.escalation_retries, 1u);
   EXPECT_EQ(stats.escalation_recovered, 1u);
