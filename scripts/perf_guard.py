@@ -9,15 +9,14 @@ consumer of the benchmark trajectory). Two checks, both over the
 intersection of record keys — records only one side has are ignored, so the
 baseline may carry extra full-protocol evidence records:
 
-- kernel_breakdown "total" records, keyed by
-  (case, S, layout, solver_path): the branch phase's share of
-  the fused loop must not exceed the baseline share by more than
+- kernel_breakdown "total" records, keyed by (case, S): the branch phase's
+  share of the fused loop must not exceed the baseline share by more than
   BRANCH_SHARE_TOLERANCE (absolute). Shares are time ratios, so they are
   robust to machine-speed differences between CI runners and the box the
   baseline was recorded on.
-- scenario_batch batched records, keyed by
-  (case, S, layout, shards): scenarios/second must stay above
-  SCEN_PER_SEC_RATIO x the baseline figure. The ratio is deliberately loose
+- scenario_batch batched records, keyed by (case, S, shards):
+  scenarios/second must stay above SCEN_PER_SEC_RATIO x the baseline
+  figure. The ratio is deliberately loose
   (CI runners vary widely) — it catches structural regressions such as
   losing the branch fast path or the fused launch geometry, not percent
   drift.
@@ -61,12 +60,7 @@ def breakdown_totals(records):
     for rec in records:
         if rec.get("bench") != "kernel_breakdown" or rec.get("phase") != "total":
             continue
-        key = (
-            rec.get("case"),
-            rec.get("S"),
-            rec.get("layout"),
-            rec.get("solver_path", "fixed"),
-        )
+        key = (rec.get("case"), rec.get("S"))
         out[key] = rec
     return out
 
@@ -76,12 +70,7 @@ def batched_throughput(records):
     for rec in records:
         if rec.get("bench") != "scenario_batch" or rec.get("engine") != "batched":
             continue
-        key = (
-            rec.get("case"),
-            rec.get("S"),
-            rec.get("layout"),
-            rec.get("shards", 1),
-        )
+        key = (rec.get("case"), rec.get("S"), rec.get("shards", 1))
         out[key] = rec
     return out
 

@@ -1,25 +1,12 @@
-// Batched ADMM state for fused multi-scenario solves, in one of two memory
-// layouts selected per solve (scenario::BatchSolveOptions::layout):
+// Batched ADMM state for fused multi-scenario solves, scenario-major: slot
+// s of an array with per-scenario extent E is the contiguous slice
+// [s*E, (s+1)*E), so a scenario's view is its slice base pointers and every
+// kernel indexes elements directly.
 //
-// - kScenarioMajor: scenario s owns the contiguous slice
-//   [s*stride, (s+1)*stride) of each array. Fused kernels launched over
-//   S x components blocks touch one allocation per quantity, but
-//   consecutive scenarios' values of the *same* component sit a whole
-//   slice apart, so the elementwise updates cannot vectorize across
-//   scenarios.
-// - kInterleaved: component-major with the scenario index innermost — the
-//   batching layout of the SIMD-abstraction line of work (Shin & Anitescu,
-//   arXiv:2307.16830; ExaModelsPower.jl, arXiv:2510.12897). Scenario slots
-//   are grouped into tiles of kTileWidth lanes; within a tile, component
-//   k's values for all lanes are contiguous: element k of slot s lives at
-//   (s/W * extent + k) * W + s%W. Tile rows are 64-byte aligned
-//   (device::kDeviceAlignment, W doubles = one cache line), so a kernel
-//   processing component k for a whole tile runs a unit-stride,
-//   compiler-vectorizable lane loop. Capacity is padded to whole tiles.
-//
-// Both layouts expose the same ScenarioView interface (per-slot pointers
-// plus an element stride of 1 or W), so every kernel built on the shared
-// update math in admm/kernels_core.hpp works against either.
+// Why not interleaved tiles (component-major, scenario lane innermost: the
+// SIMD batching layout of Shin & Anitescu, arXiv:2307.16830)? Lockstep TRON
+// gathers each lane from its own scenario view, and an end-to-end A/B found
+// tiles no faster on the traffic the engine serves (DESIGN.md §8).
 //
 // Per-scenario *problem data* that the scenario engine may vary (penalties
 // rho, loads, generator pg bounds, branch outage masks) lives here too; the
@@ -36,7 +23,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "admm/component_model.hpp"
@@ -45,111 +31,42 @@
 
 namespace gridadmm::admm {
 
-/// Memory layout of a BatchAdmmState (see file comment).
-enum class BatchLayout {
-  kScenarioMajor,  ///< scenario-contiguous slices (stride 1)
-  kInterleaved,    ///< component-major tiles, scenario lane innermost
-};
-
-/// Scenario lanes per interleaved tile: 8 doubles = one 64-byte cache line
-/// = one AVX-512 register (two AVX2 registers), so a tile row is exactly
-/// the hardware vector granularity the lane loops target.
-inline constexpr int kTileWidth = 8;
-
-inline const char* layout_name(BatchLayout layout) {
-  return layout == BatchLayout::kInterleaved ? "interleaved" : "scenario_major";
-}
-
-/// Inverse of layout_name for CLI parsing; rejects unknown names so a
-/// typo'd --layouts value cannot silently benchmark the wrong layout.
-inline BatchLayout layout_from_name(const std::string& name) {
-  if (name == "interleaved") return BatchLayout::kInterleaved;
-  require(name == "scenario_major", "unknown batch layout: " + name);
-  return BatchLayout::kScenarioMajor;
-}
-
-/// Address arithmetic for one batch layout: maps (slot, element, extent) to
-/// a flat index into any per-scenario batch array. Shared by the state
-/// views, the chain/ramp/rescale kernels, and the solver's staging and
-/// slice-extraction paths, so no two call sites can disagree about where a
-/// scenario lives.
-struct BatchIndexer {
-  BatchLayout layout = BatchLayout::kScenarioMajor;
-
-  [[nodiscard]] bool interleaved() const { return layout == BatchLayout::kInterleaved; }
-
-  /// Element spacing within one scenario's logical slice.
-  [[nodiscard]] std::size_t stride() const {
-    return interleaved() ? static_cast<std::size_t>(kTileWidth) : 1;
-  }
-
-  /// Allocated slot count for a logical capacity of `num_scenarios`
-  /// (interleaved pads to whole tiles).
-  [[nodiscard]] int padded_slots(int num_scenarios) const {
-    if (!interleaved()) return num_scenarios;
-    return (num_scenarios + kTileWidth - 1) / kTileWidth * kTileWidth;
-  }
-
-  /// Flat index of element 0 of slot `s` in an array of per-scenario
-  /// extent `extent`.
-  [[nodiscard]] std::size_t offset(int s, std::size_t extent) const {
-    if (!interleaved()) return static_cast<std::size_t>(s) * extent;
-    const auto tile = static_cast<std::size_t>(s / kTileWidth);
-    const auto lane = static_cast<std::size_t>(s % kTileWidth);
-    return tile * extent * static_cast<std::size_t>(kTileWidth) + lane;
-  }
-
-  /// Flat index of element `k` of slot `s`.
-  [[nodiscard]] std::size_t index(int s, std::size_t k, std::size_t extent) const {
-    return offset(s, extent) + k * stride();
-  }
-};
-
 struct BatchAdmmState {
-  int num_scenarios = 0;  ///< logical capacity (slots handed out as views)
-  int padded_scenarios = 0;  ///< allocated slots (whole tiles when interleaved)
-  BatchLayout layout = BatchLayout::kScenarioMajor;
+  int num_scenarios = 0;  ///< slots, each handed out as a view
 
-  // ---- Iterate, layout-mapped (see BatchIndexer) ----
-  device::DeviceBuffer<double> u, v, z, y, lz;     ///< P * num_pairs
-  device::DeviceBuffer<double> bus_w, bus_theta;   ///< P * num_buses
-  device::DeviceBuffer<double> gen_pg, gen_qg;     ///< P * num_gens
-  device::DeviceBuffer<double> branch_x;           ///< P * 4 * num_branches
-  device::DeviceBuffer<double> branch_s;           ///< P * 2 * num_branches
-  device::DeviceBuffer<double> branch_lambda;      ///< P * 2 * num_branches
+  // ---- Iterate, one contiguous slice per scenario ----
+  device::DeviceBuffer<double> u, v, z, y, lz;     ///< S * num_pairs
+  device::DeviceBuffer<double> bus_w, bus_theta;   ///< S * num_buses
+  device::DeviceBuffer<double> gen_pg, gen_qg;     ///< S * num_gens
+  device::DeviceBuffer<double> branch_x;           ///< S * 4 * num_branches
+  device::DeviceBuffer<double> branch_s;           ///< S * 2 * num_branches
+  device::DeviceBuffer<double> branch_lambda;      ///< S * 2 * num_branches
 
   // ---- Per-scenario problem data ----
-  device::DeviceBuffer<double> rho;                ///< P * num_pairs
-  device::DeviceBuffer<double> pd, qd;             ///< P * num_buses
-  device::DeviceBuffer<double> pmin, pmax;         ///< P * num_gens
-  device::DeviceBuffer<unsigned char> branch_active;  ///< P * num_branches
+  device::DeviceBuffer<double> rho;                ///< S * num_pairs
+  device::DeviceBuffer<double> pd, qd;             ///< S * num_buses
+  device::DeviceBuffer<double> pmin, pmax;         ///< S * num_gens
+  device::DeviceBuffer<unsigned char> branch_active;  ///< S * num_branches
 
   /// Outer penalty, one per scenario (host scalar, like AdmmState::beta).
   std::vector<double> beta;
 
-  [[nodiscard]] BatchIndexer indexer() const { return BatchIndexer{layout}; }
-
   /// Allocates all buffers for S scenarios of `model` (zero-filled,
-  /// branch_active = 1, beta = 0). Interleaved capacity is padded to whole
-  /// tiles; padded lanes are never handed out as views.
-  static BatchAdmmState zeros(const ComponentModel& model, int num_scenarios,
-                              BatchLayout layout = BatchLayout::kScenarioMajor);
+  /// branch_active = 1, beta = 0).
+  static BatchAdmmState zeros(const ComponentModel& model, int num_scenarios);
 
   /// Raw-pointer view of scenario s's slices (valid until any resize).
   [[nodiscard]] ScenarioView view(const ComponentModel& model, int s);
 };
 
-inline BatchAdmmState BatchAdmmState::zeros(const ComponentModel& model, int num_scenarios,
-                                            BatchLayout layout) {
+inline BatchAdmmState BatchAdmmState::zeros(const ComponentModel& model, int num_scenarios) {
   BatchAdmmState b;
   b.num_scenarios = num_scenarios;
-  b.layout = layout;
-  b.padded_scenarios = BatchIndexer{layout}.padded_slots(num_scenarios);
-  const auto P = static_cast<std::size_t>(b.padded_scenarios);
-  const auto np = P * static_cast<std::size_t>(model.num_pairs);
-  const auto nb = P * static_cast<std::size_t>(model.num_buses);
-  const auto ng = P * static_cast<std::size_t>(model.num_gens);
-  const auto nl = P * static_cast<std::size_t>(model.num_branches);
+  const auto S = static_cast<std::size_t>(num_scenarios);
+  const auto np = S * static_cast<std::size_t>(model.num_pairs);
+  const auto nb = S * static_cast<std::size_t>(model.num_buses);
+  const auto ng = S * static_cast<std::size_t>(model.num_gens);
+  const auto nl = S * static_cast<std::size_t>(model.num_branches);
   b.u.resize(np);
   b.v.resize(np);
   b.z.resize(np);
@@ -168,18 +85,16 @@ inline BatchAdmmState BatchAdmmState::zeros(const ComponentModel& model, int num
   b.pmin.resize(ng);
   b.pmax.resize(ng);
   b.branch_active.resize(nl, 1);
-  b.beta.assign(static_cast<std::size_t>(num_scenarios), 0.0);
+  b.beta.assign(S, 0.0);
   return b;
 }
 
 inline ScenarioView BatchAdmmState::view(const ComponentModel& model, int s) {
-  const BatchIndexer idx = indexer();
-  const auto np = idx.offset(s, static_cast<std::size_t>(model.num_pairs));
-  const auto nb = idx.offset(s, static_cast<std::size_t>(model.num_buses));
-  const auto ng = idx.offset(s, static_cast<std::size_t>(model.num_gens));
-  const auto nl = idx.offset(s, static_cast<std::size_t>(model.num_branches));
-  const auto nl4 = idx.offset(s, static_cast<std::size_t>(4 * model.num_branches));
-  const auto nl2 = idx.offset(s, static_cast<std::size_t>(2 * model.num_branches));
+  const auto slot = static_cast<std::size_t>(s);
+  const auto np = slot * static_cast<std::size_t>(model.num_pairs);
+  const auto nb = slot * static_cast<std::size_t>(model.num_buses);
+  const auto ng = slot * static_cast<std::size_t>(model.num_gens);
+  const auto nl = slot * static_cast<std::size_t>(model.num_branches);
   ScenarioView view;
   view.u = u.data() + np;
   view.v = v.data() + np;
@@ -190,17 +105,16 @@ inline ScenarioView BatchAdmmState::view(const ComponentModel& model, int s) {
   view.bus_theta = bus_theta.data() + nb;
   view.gen_pg = gen_pg.data() + ng;
   view.gen_qg = gen_qg.data() + ng;
-  view.branch_x = branch_x.data() + nl4;
-  view.branch_s = branch_s.data() + nl2;
-  view.branch_lambda = branch_lambda.data() + nl2;
+  view.branch_x = branch_x.data() + 4 * nl;
+  view.branch_s = branch_s.data() + 2 * nl;
+  view.branch_lambda = branch_lambda.data() + 2 * nl;
   view.rho = rho.data() + np;
   view.pd = pd.data() + nb;
   view.qd = qd.data() + nb;
   view.pmin = pmin.data() + ng;
   view.pmax = pmax.data() + ng;
   view.branch_active = branch_active.data() + nl;
-  view.beta = beta[static_cast<std::size_t>(s)];
-  view.stride = static_cast<int>(idx.stride());
+  view.beta = beta[slot];
   return view;
 }
 

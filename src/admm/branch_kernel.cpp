@@ -14,24 +14,11 @@ void accumulate(BranchUpdateStats& stats, const tron::TronResult& result) {
   if (result.status == tron::TronStatus::kLineSearchFailed) ++stats.failures;
 }
 
-/// One TRON solve of the `live` lanes of branch group `problem` from x:
-/// lockstep, or lane by lane through the generic reference solver.
+/// One lockstep TRON solve of the `live` lanes of branch group `problem`
+/// from x.
 template <int N, int W>
-void run_tron(BranchWorkspace& ws, BranchSolverPath path, BranchLanes<W>& problem,
-              tron::Lanes<W> (&x)[N], const tron::LaneMask<W>& live, int (&lane_tron)[W]) {
-  if (path == BranchSolverPath::kGeneric) {
-    for (int j = 0; j < W; ++j) {
-      if (!live[j]) continue;
-      problem.copy_lane(j, ws.problem.lanes(), 0);
-      double xj[N];
-      for (int i = 0; i < N; ++i) xj[i] = x[i][j];
-      const tron::TronResult result = ws.generic.minimize(ws.problem, {xj, N});
-      for (int i = 0; i < N; ++i) x[i].set(j, xj[i]);
-      accumulate(ws.stats, result);
-      lane_tron[j] += result.iterations;
-    }
-    return;
-  }
+void run_tron(BranchWorkspace& ws, BranchLanes<W>& problem, tron::Lanes<W> (&x)[N],
+              const tron::LaneMask<W>& live, int (&lane_tron)[W]) {
   const tron::LockstepResult<W> result =
       ws.solvers<W>().template solver<N>().minimize(problem, x, live);
   for (int j = 0; j < W; ++j) {
@@ -61,24 +48,23 @@ void update_group(const ModelView& m, const AdmmParams& params,
   double lam_ij[W] = {}, lam_ji[W] = {}, rho_t[W] = {}, eta[W] = {};
   for (int j = 0; j < n; ++j) {
     const ScenarioView& s = *lanes[static_cast<std::size_t>(j)];
-    const auto st = static_cast<std::size_t>(s.stride);
-    if (s.branch_active != nullptr && s.branch_active[static_cast<std::size_t>(l) * st] == 0) {
+    if (s.branch_active != nullptr && s.branch_active[l] == 0) {
       continue;  // outage
     }
     live.set(j, true);
     double d[8], yk[8], rhok[8];
     for (std::size_t k = 0; k < 8; ++k) {
-      d[k] = s.z[(base + k) * st] - s.v[(base + k) * st];
-      yk[k] = s.y[(base + k) * st];
-      rhok[k] = s.rho[(base + k) * st];
+      d[k] = s.z[base + k] - s.v[base + k];
+      yk[k] = s.y[base + k];
+      rhok[k] = s.rho[base + k];
     }
     problem.bind(j, m.adm + 8 * l, m.vbound + 4 * l, m.rate2[l], d, yk, rhok);
-    for (std::size_t a = 0; a < 4; ++a) x[a].set(j, s.branch_x[(xrow + a) * st]);
+    for (std::size_t a = 0; a < 4; ++a) x[a].set(j, s.branch_x[xrow + a]);
     if constexpr (kRated) {
-      x[4].set(j, s.branch_s[srow * st]);
-      x[5].set(j, s.branch_s[(srow + 1) * st]);
-      lam_ij[j] = s.branch_lambda[srow * st];
-      lam_ji[j] = s.branch_lambda[(srow + 1) * st];
+      x[4].set(j, s.branch_s[srow]);
+      x[5].set(j, s.branch_s[srow + 1]);
+      lam_ij[j] = s.branch_lambda[srow];
+      lam_ji[j] = s.branch_lambda[srow + 1];
       rho_t[j] = params.auglag_rho0 * std::max(rhok[0], 1.0);
       eta[j] = std::pow(rho_t[j], -0.1);
     }
@@ -88,7 +74,7 @@ void update_group(const ModelView& m, const AdmmParams& params,
   int tron_iters[W] = {};
   tron::Lanes<W> flows[4] = {};
   if constexpr (!kRated) {
-    run_tron(ws, params.branch_solver, problem, x, live, tron_iters);
+    run_tron(ws, problem, x, live, tron_iters);
     problem.eval_flows(x, live, flows);
   } else {
     // Augmented-Lagrangian loop on the line limits, in lockstep: each
@@ -102,7 +88,7 @@ void update_group(const ModelView& m, const AdmmParams& params,
         ++ws.stats.auglag_iterations;
         problem.set_line_multipliers(j, lam_ij[j], lam_ji[j], rho_t[j]);
       }
-      run_tron(ws, params.branch_solver, problem, x, active, tron_iters);
+      run_tron(ws, problem, x, active, tron_iters);
       problem.eval_flows(x, active, flows);
       for (int j = 0; j < W; ++j) {
         if (!active[j]) continue;
@@ -131,22 +117,21 @@ void update_group(const ModelView& m, const AdmmParams& params,
   for (int j = 0; j < n; ++j) {
     if (!live[j]) continue;
     const ScenarioView& s = *lanes[static_cast<std::size_t>(j)];
-    const auto st = static_cast<std::size_t>(s.stride);
     if constexpr (kRated) {
-      s.branch_lambda[srow * st] = lam_ij[j];
-      s.branch_lambda[(srow + 1) * st] = lam_ji[j];
-      s.branch_s[srow * st] = x[4][j];
-      s.branch_s[(srow + 1) * st] = x[5][j];
+      s.branch_lambda[srow] = lam_ij[j];
+      s.branch_lambda[srow + 1] = lam_ji[j];
+      s.branch_s[srow] = x[4][j];
+      s.branch_s[srow + 1] = x[5][j];
     }
-    for (std::size_t a = 0; a < 4; ++a) s.branch_x[(xrow + a) * st] = x[a][j];
-    s.u[(base + kPairPij) * st] = flows[grid::kPij][j];
-    s.u[(base + kPairQij) * st] = flows[grid::kQij][j];
-    s.u[(base + kPairPji) * st] = flows[grid::kPji][j];
-    s.u[(base + kPairQji) * st] = flows[grid::kQji][j];
-    s.u[(base + kPairWi) * st] = x[0][j] * x[0][j];
-    s.u[(base + kPairThi) * st] = x[2][j];
-    s.u[(base + kPairWj) * st] = x[1][j] * x[1][j];
-    s.u[(base + kPairThj) * st] = x[3][j];
+    for (std::size_t a = 0; a < 4; ++a) s.branch_x[xrow + a] = x[a][j];
+    s.u[base + kPairPij] = flows[grid::kPij][j];
+    s.u[base + kPairQij] = flows[grid::kQij][j];
+    s.u[base + kPairPji] = flows[grid::kPji][j];
+    s.u[base + kPairQji] = flows[grid::kQji][j];
+    s.u[base + kPairWi] = x[0][j] * x[0][j];
+    s.u[base + kPairThi] = x[2][j];
+    s.u[base + kPairWj] = x[1][j] * x[1][j];
+    s.u[base + kPairThj] = x[3][j];
     if (lane_tron != nullptr) lane_tron[j] = tron_iters[j];
   }
 }

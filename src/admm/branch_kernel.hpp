@@ -11,10 +11,8 @@
 // for a group of up to W scenario lanes together, the ExaTron thread-block
 // model of paper Section III-B with scenarios in the SIMD lanes. The
 // single-scenario kernel runs W = 1 (one block per branch); the fused batch
-// kernel runs W = kBranchLanes. AdmmParams::branch_solver = kGeneric swaps
-// the lockstep solver for the generic reference TronSolver, lane by lane,
-// bit-identically. See admm/branch_problem.hpp for the problem and
-// per-lane workspace types.
+// kernel runs W = kBranchLanes. See admm/branch_problem.hpp for the problem
+// and per-lane workspace types.
 #pragma once
 
 #include <span>

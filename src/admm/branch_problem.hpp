@@ -7,9 +7,9 @@
 // of one branch (W scenarios) in lockstep with tron::LockstepTron<4, W> or
 // <6, W> (tron/lockstep_tron.hpp). BranchLanes<W> holds those W problems
 // structure-of-arrays and is the one copy of the branch objective,
-// gradient and Hessian; BranchProblem, the TronProblem the generic
-// reference TronSolver runs on, delegates to its W = 1 form, so the two
-// paths share the math and stay bit-identical.
+// gradient and Hessian. BranchProblem wraps its W = 1 form as a generic
+// TronProblem, so the reference TronSolver (the tests' yardstick for
+// lockstep TRON) runs on the same math.
 //
 // Split out of branch_kernel.hpp so AdmmState can own persistent
 // BranchWorkspace lanes without a header cycle (state.hpp -> this file;
@@ -46,8 +46,8 @@ struct BranchUpdateStats {
 
   /// Lane utilisation of the lockstep branch solves: live lane-iterations
   /// / (W x group iterations). 1 when every lane of every group held a
-  /// problem needing the same iteration count; 0 when nothing ran in
-  /// lockstep (the generic reference path).
+  /// problem needing the same iteration count; 0 when no branch solve
+  /// ran.
   [[nodiscard]] double lane_utilisation() const {
     return lane_passes > 0
                ? static_cast<double>(live_lane_passes) / static_cast<double>(lane_passes)
@@ -110,14 +110,7 @@ class BranchLanes {
   template <int N>
   void eval_flows(const L (&x)[N], const Mask& m, L (&flows)[4]) const;
 
-  /// Copies lane `from` into lane `to` of `dst` (data, multipliers, scale).
-  template <int V>
-  void copy_lane(int from, BranchLanes<V>& dst, int to) const;
-
  private:
-  template <int>
-  friend class BranchLanes;
-
   grid::FlowForm<L> form_ = {};  ///< flow coefficients (grid::flow_form per lane)
   L vbound_[4] = {};
   L rate2_ = {};
@@ -336,35 +329,11 @@ void BranchLanes<W>::eval_flows(const L (&x)[N], const Mask& m, L (&flows)[4]) c
   for (int k = 0; k < 4; ++k) flows[k] = tron::select(m, values[k], flows[k]);
 }
 
-template <int W>
-template <int V>
-void BranchLanes<W>::copy_lane(int from, BranchLanes<V>& dst, int to) const {
-  const auto copy = [&](const L& src, typename BranchLanes<V>::L& out) { out.set(to, src[from]); };
-  for (int k = 0; k < 4; ++k) {
-    copy(form_.alpha[k], dst.form_.alpha[k]);
-    copy(form_.a[k], dst.form_.a[k]);
-    copy(form_.b[k], dst.form_.b[k]);
-    copy(vbound_[k], dst.vbound_[k]);
-  }
-  for (int k = 0; k < 8; ++k) {
-    copy(d_[k], dst.d_[k]);
-    copy(yk_[k], dst.yk_[k]);
-    copy(rhok_[k], dst.rhok_[k]);
-  }
-  copy(rate2_, dst.rate2_);
-  copy(lam_ij_, dst.lam_ij_);
-  copy(lam_ji_, dst.lam_ji_);
-  copy(rho_t_, dst.rho_t_);
-  copy(scale_, dst.scale_);
-  copy(rho_max_, dst.rho_max_);
-  dst.rated_ = rated_;
-}
-
 /// The TRON problem for one branch, on the generic TronProblem interface:
-/// what the reference TronSolver path (AdmmParams::branch_solver =
-/// kGeneric) runs on. Every evaluation delegates to the one-lane
-/// BranchLanes<1> — f, gradient and Hessian each evaluate their point from
-/// scratch — so the reference path shares the lockstep path's math.
+/// what the reference TronSolver runs on when tests check lockstep TRON
+/// against it. Every evaluation delegates to the one-lane BranchLanes<1> —
+/// f, gradient and Hessian each evaluate their point from scratch — so the
+/// reference shares the lockstep path's math.
 class BranchProblem final : public tron::TronProblem {
  public:
   /// See BranchLanes::bind.
@@ -412,20 +381,17 @@ struct LaneSolvers {
 };
 
 /// Per-worker-lane scratch for the branch updates: one-lane solvers (the
-/// single-scenario kernel and one-slot groups), kBranchLanes-lane solvers
-/// (the fused batch kernel), and the generic reference pair, so one lane
-/// serves every branch it processes whatever path is selected. Owned
-/// persistently (AdmmState / the batch engine's shards) and reused across
-/// all fused steps; the construction counter lets tests assert the hot path
-/// never rebuilds workspaces. The pad keeps the stats counters of
-/// neighboring lanes off the same cache line.
+/// single-scenario kernel and one-slot groups) and kBranchLanes-lane
+/// solvers (the fused batch kernel), so one lane serves every branch it
+/// processes. Owned persistently (AdmmState / the batch engine's shards)
+/// and reused across all fused steps; the construction counter lets tests
+/// assert the hot path never rebuilds workspaces. The pad keeps the stats
+/// counters of neighboring lanes off the same cache line.
 struct BranchWorkspace {
   BranchWorkspace() { created_counter().fetch_add(1, std::memory_order_relaxed); }
 
   LaneSolvers<1> single;
   LaneSolvers<kBranchLanes> group;
-  BranchProblem problem;     ///< reference path problem (one lane)
-  tron::TronSolver generic;  ///< reference path (virtual dispatch)
   BranchUpdateStats stats;
   char pad[64] = {0};
 
@@ -445,7 +411,6 @@ struct BranchWorkspace {
     single.rated.options() = options;
     group.unrated.options() = options;
     group.rated.options() = options;
-    generic.options() = options;
   }
 
   /// Process-wide count of default constructions. Steady-state solves must

@@ -1,14 +1,6 @@
 #include "admm/params.hpp"
 
-#include "common/error.hpp"
-
 namespace gridadmm::admm {
-
-BranchSolverPath branch_path_from_name(const std::string& name) {
-  if (name == "generic") return BranchSolverPath::kGeneric;
-  require(name == "fixed", "unknown branch solver path: " + name);
-  return BranchSolverPath::kFixedDim;
-}
 
 AdmmParams params_for_case(const std::string& case_name, int num_buses) {
   AdmmParams params;

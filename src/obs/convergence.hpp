@@ -4,9 +4,9 @@
 // escalates on.
 //
 // The batch engine fills one ConvergenceTrajectory per scenario when
-// BatchSolveOptions::convergence_sample_interval > 0 (plumbed through
-// TrackingOptions and ServiceOptions like layout) and exports
-// them on ScenarioReport::convergence. Sampling only observes values the
+// BatchSolveOptions::convergence_sample_interval > 0 (also exposed on
+// TrackingOptions and ServiceOptions) and exports them on
+// ScenarioReport::convergence. Sampling only observes values the
 // fused loop already computes, so solver iterates are bit-identical with
 // sampling on or off (asserted by tests/test_obs.cpp).
 #pragma once

@@ -143,7 +143,6 @@ BatchTrackingResult run_batched_tracking_impl(const grid::Network& net,
   // so device memory stays O(2 x profiles x case) for any horizon length.
   scenario::BatchSolveOptions solve_options;
   solve_options.ping_pong = options.ping_pong;
-  solve_options.layout = options.layout;
   solve_options.trace = options.trace;
   solve_options.convergence_sample_interval = options.convergence_sample_interval;
   if (options.trace) obs::Tracer::instance().enable();

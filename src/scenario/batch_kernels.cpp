@@ -5,31 +5,8 @@
 
 namespace gridadmm::scenario {
 
-using admm::BatchIndexer;
-using admm::kTileWidth;
 using admm::ModelView;
 using admm::ScenarioView;
-
-namespace {
-
-/// Applies f(lane, column) to every active lane of an interleaved tile
-/// group: a fixed-trip-count loop over all kTileWidth lanes when the group
-/// is full — the compiler-vectorizable form when f's addresses are affine
-/// in the lane index — and the masked active-lane list otherwise. The one
-/// copy of the group-iteration contract shared by the four interleaved
-/// elementwise kernels below.
-template <typename F>
-inline void for_each_active_lane(const TileGroup& group, F&& f) {
-  if (group.full()) {
-    for (int l = 0; l < kTileWidth; ++l) f(l, group.column[static_cast<std::size_t>(l)]);
-  } else {
-    for (int t = 0; t < group.nlanes; ++t) {
-      f(group.lane[static_cast<std::size_t>(t)], group.column[static_cast<std::size_t>(t)]);
-    }
-  }
-}
-
-}  // namespace
 
 void batch_update_generators(device::Device& dev, const ModelView& m,
                              std::span<const ScenarioView> views, std::span<const int> slots) {
@@ -37,20 +14,6 @@ void batch_update_generators(device::Device& dev, const ModelView& m,
   dev.launch(static_cast<int>(slots.size()) * ng, [=](int b) {
     const int s = slots[static_cast<std::size_t>(b / ng)];
     admm::generator_update_one(m, views[static_cast<std::size_t>(s)], b % ng);
-  });
-}
-
-void batch_update_generators(device::Device& dev, const ModelView& m,
-                             std::span<const ScenarioView> views,
-                             std::span<const TileGroup> groups) {
-  const int ng = m.num_gens;
-  dev.launch(static_cast<int>(groups.size()) * ng, [=](int b) {
-    const TileGroup& group = groups[static_cast<std::size_t>(b / ng)];
-    const int g = b % ng;
-    const ScenarioView base = views[static_cast<std::size_t>(group.first_slot)];
-    for_each_active_lane(group, [&](int l, int) {
-      admm::generator_update_one(m, admm::lane_shifted(base, l), g);
-    });
   });
 }
 
@@ -113,26 +76,6 @@ void batch_update_buses(device::Device& dev, const ModelView& m,
   });
 }
 
-void batch_update_buses(device::Device& dev, const ModelView& m,
-                        std::span<const ScenarioView> views, std::span<const TileGroup> groups,
-                        std::span<double> partial_dual, int row_stride) {
-  const int nb = m.num_buses;
-  std::fill(partial_dual.begin(), partial_dual.end(), 0.0);
-  dev.launch_with_lane(static_cast<int>(groups.size()) * nb, [=](int b, int lane) {
-    const TileGroup& group = groups[static_cast<std::size_t>(b / nb)];
-    const int i = b % nb;
-    const std::size_t row = static_cast<std::size_t>(lane) * row_stride;
-    // The bus update's CSR adjacency walk does not lane-vectorize, so the
-    // affine lane_shifted form buys nothing here — index the cached
-    // per-slot views directly (lanes still share tile rows, which is
-    // where the locality win comes from).
-    for_each_active_lane(group, [&](int l, int column) {
-      const auto s = static_cast<std::size_t>(group.first_slot + l);
-      admm::bus_update_one(m, views[s], i, &partial_dual[row + column]);
-    });
-  });
-}
-
 void batch_update_zy(device::Device& dev, const ModelView& m, bool two_level,
                      std::span<const ScenarioView> views, std::span<const int> slots,
                      std::span<double> partial_primal, std::span<double> partial_z,
@@ -149,31 +92,6 @@ void batch_update_zy(device::Device& dev, const ModelView& m, bool two_level,
   });
 }
 
-void batch_update_zy(device::Device& dev, const ModelView& m, bool two_level,
-                     std::span<const ScenarioView> views, std::span<const TileGroup> groups,
-                     std::span<double> partial_primal, std::span<double> partial_z,
-                     int row_stride) {
-  const int np = m.num_pairs;
-  std::fill(partial_primal.begin(), partial_primal.end(), 0.0);
-  std::fill(partial_z.begin(), partial_z.end(), 0.0);
-  dev.launch_with_lane(static_cast<int>(groups.size()) * np, [=](int b, int lane) {
-    const TileGroup& group = groups[static_cast<std::size_t>(b / np)];
-    const int k = b % np;
-    const std::size_t row = static_cast<std::size_t>(lane) * row_stride;
-    // Every array access is unit-stride in the lane index (lane_shifted is
-    // pure pointer arithmetic), the compiler-vectorizable form on full
-    // tiles. beta is a host scalar per scenario, re-read from the lane's
-    // own view.
-    const ScenarioView base = views[static_cast<std::size_t>(group.first_slot)];
-    for_each_active_lane(group, [&](int l, int column) {
-      ScenarioView lv = admm::lane_shifted(base, l);
-      lv.beta = views[static_cast<std::size_t>(group.first_slot + l)].beta;
-      admm::zy_update_one(m, lv, k, two_level, &partial_primal[row + column],
-                          &partial_z[row + column]);
-    });
-  });
-}
-
 void batch_update_outer_multiplier(device::Device& dev, const ModelView& m,
                                    std::span<const ScenarioView> views,
                                    std::span<const int> slots, double lambda_bound) {
@@ -185,35 +103,17 @@ void batch_update_outer_multiplier(device::Device& dev, const ModelView& m,
   });
 }
 
-void batch_update_outer_multiplier(device::Device& dev, const ModelView& m,
-                                   std::span<const ScenarioView> views,
-                                   std::span<const TileGroup> groups, double lambda_bound) {
-  const int np = m.num_pairs;
-  dev.launch(static_cast<int>(groups.size()) * np, [=](int b) {
-    const TileGroup& group = groups[static_cast<std::size_t>(b / np)];
-    const int k = b % np;
-    const ScenarioView base = views[static_cast<std::size_t>(group.first_slot)];
-    for_each_active_lane(group, [&](int l, int) {
-      ScenarioView lv = admm::lane_shifted(base, l);
-      lv.beta = views[static_cast<std::size_t>(group.first_slot + l)].beta;
-      admm::outer_multiplier_update_one(m, lv, k, lambda_bound);
-    });
-  });
-}
-
 void batch_scale_rho(device::Device& dev, const admm::ComponentModel& model,
                      admm::BatchAdmmState& state, std::span<const int> slots,
                      std::span<const double> factors) {
   // Capture scalars only: naming `model` inside a [=] lambda would copy
   // the whole ComponentModel (every DeviceBuffer in it) into the closure.
   const int num_pairs = model.num_pairs;
-  const auto np = static_cast<std::size_t>(num_pairs);
-  const BatchIndexer idx = state.indexer();
   auto rho = state.rho.span();
   dev.launch(static_cast<int>(slots.size()) * num_pairs, [=](int b) {
     const int j = b / num_pairs;
     const int s = slots[static_cast<std::size_t>(j)];
-    rho[idx.index(s, static_cast<std::size_t>(b % num_pairs), np)] *=
+    rho[static_cast<std::size_t>(s) * num_pairs + b % num_pairs] *=
         factors[static_cast<std::size_t>(j)];
   });
 }
@@ -230,10 +130,7 @@ void batch_chain_state(device::Device& dev, const admm::ComponentModel& model,
   // extent on a connected network, so one launch over |links| * num_pairs
   // blocks covers all arrays (each block guards the shorter extents).
   // src_state and dst_state may be the same object (in-place chain) or the
-  // two halves of a ping-pong pair; slots are local to their own state and
-  // mapped through their own state's layout indexer.
-  const BatchIndexer sidx = src_state.indexer();
-  const BatchIndexer didx = dst_state.indexer();
+  // two halves of a ping-pong pair; slots are local to their own state.
   const auto su = src_state.u.span();
   const auto sv = src_state.v.span();
   const auto sz = src_state.z.span();
@@ -265,7 +162,8 @@ void batch_chain_state(device::Device& dev, const admm::ComponentModel& model,
     const auto k = static_cast<std::size_t>(b % np);
     auto copy = [&](std::span<const double> from, std::span<double> to, std::size_t extent) {
       if (k < extent) {
-        to[didx.index(link.dst, k, extent)] = from[sidx.index(link.src, k, extent)];
+        to[static_cast<std::size_t>(link.dst) * extent + k] =
+            from[static_cast<std::size_t>(link.src) * extent + k];
       }
     };
     copy(su, du, npz);
@@ -289,8 +187,6 @@ void batch_apply_ramp(device::Device& dev, const admm::ComponentModel& model,
                       std::span<const RampLink> links) {
   const int ng = model.num_gens;
   const auto ngz = static_cast<std::size_t>(ng);
-  const BatchIndexer sidx = src_state.indexer();
-  const BatchIndexer didx = dst_state.indexer();
   const auto base_pmin = model.gen_pmin.span();
   const auto base_pmax = model.gen_pmax.span();
   const auto pg = src_state.gen_pg.span();
@@ -299,8 +195,8 @@ void batch_apply_ramp(device::Device& dev, const admm::ComponentModel& model,
   dev.launch(static_cast<int>(links.size()) * ng, [=](int b) {
     const auto& link = links[static_cast<std::size_t>(b / ng)];
     const auto g = static_cast<std::size_t>(b % ng);
-    const auto dst = didx.index(link.dst, g, ngz);
-    const auto src = sidx.index(link.src, g, ngz);
+    const auto dst = static_cast<std::size_t>(link.dst) * ngz + g;
+    const auto src = static_cast<std::size_t>(link.src) * ngz + g;
     const double ramp = link.ramp_fraction * base_pmax[g];
     pmin[dst] = std::max(base_pmin[g], pg[src] - ramp);
     pmax[dst] = std::min(base_pmax[g], pg[src] + ramp);

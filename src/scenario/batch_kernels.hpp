@@ -1,33 +1,17 @@
-// Fused multi-scenario ADMM kernels, one family per batch layout.
-//
-// Scenario-major: each kernel launches one grid over |slots| x components
-// blocks: block b serves component b % ncomp of scenario slots[b / ncomp],
-// reusing the per-component update math from admm/kernels_core.hpp. All S
-// scenarios' generator (resp. branch, bus, pair) updates share a single
-// launch, which is where the batch engine's speedup over S sequential
-// solver loops comes from: launch count per fused step is constant in S.
-//
-// Interleaved: the elementwise kernels (generator, bus, zy, outer
-// multiplier) launch component-major over |tile groups| x components
-// blocks instead — block b serves component b % ncomp of *every* active
-// lane of tile group b / ncomp. A full group runs a unit-stride lane loop
-// over kTileWidth adjacent scenarios (admm::lane_shifted keeps every
-// address affine in the lane index, so the compiler can vectorize the
-// shared update math across scenarios); partial groups — tiles with
-// retired lanes — iterate only their active lanes. Block count drops by
-// ~kTileWidth and each block touches one contiguous tile row per array.
-// The TRON-based branch kernel groups scenarios its own way in both
-// layouts: one block per (branch, group of admm::kBranchLanes consecutive
-// active slots), the group solved by lockstep TRON; it reads the same
-// strided views.
+// Fused multi-scenario ADMM kernels. Each kernel launches one grid over
+// |slots| x components blocks: block b serves component b % ncomp of
+// scenario slots[b / ncomp], reusing the per-component update math from
+// admm/kernels_core.hpp. All S scenarios' generator (resp. bus, pair)
+// updates share a single launch, which is where the batch engine's speedup
+// over S sequential solver loops comes from: launch count per fused step is
+// constant in S. The TRON-based branch kernel groups scenarios its own
+// way: one block per (branch, group of admm::kBranchLanes consecutive
+// active slots), the group solved by lockstep TRON.
 //
 // Residual reductions are per (worker lane, slot): `partial` arrays hold
 // `lanes` rows of `row_stride` doubles (row_stride >= |slots|, rounded up
 // so rows do not share cache lines); callers take the per-slot max over
-// lanes. Interleaved groups carry each lane's reduction column
-// (TileGroup::column), so per-scenario maxima are collected identically in
-// both layouts — max is order-free, which is why the two layouts produce
-// bit-identical residuals.
+// lanes.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +23,6 @@
 #include "admm/kernels_core.hpp"
 #include "admm/params.hpp"
 #include "device/device.hpp"
-#include "scenario/batch_plan.hpp"
 
 namespace gridadmm::scenario {
 
@@ -49,13 +32,6 @@ inline int reduce_row_stride(int num_slots) { return (num_slots + 7) / 8 * 8; }
 void batch_update_generators(device::Device& dev, const admm::ModelView& m,
                              std::span<const admm::ScenarioView> views,
                              std::span<const int> slots);
-
-/// Interleaved variant: component-major over tile groups (see file
-/// comment). `views` must be the interleaved per-slot views (stride
-/// kTileWidth).
-void batch_update_generators(device::Device& dev, const admm::ModelView& m,
-                             std::span<const admm::ScenarioView> views,
-                             std::span<const TileGroup> groups);
 
 /// `lanes` provides one reusable TRON workspace per device worker (resized
 /// and options-bound on first use); hoisting it out of the fused inner loop
@@ -88,39 +64,16 @@ void batch_update_buses(device::Device& dev, const admm::ModelView& m,
                         std::span<const admm::ScenarioView> views, std::span<const int> slots,
                         std::span<double> partial_dual, int row_stride);
 
-/// Interleaved variant: one block per (tile group, bus); lane loop over the
-/// group's active scenarios (the adjacency walk is scalar per lane — its
-/// trip counts are topology-shared, but the CSR indirection does not
-/// lane-vectorize — the win here is the block-count drop and tile-row
-/// locality).
-void batch_update_buses(device::Device& dev, const admm::ModelView& m,
-                        std::span<const admm::ScenarioView> views,
-                        std::span<const TileGroup> groups, std::span<double> partial_dual,
-                        int row_stride);
-
 void batch_update_zy(device::Device& dev, const admm::ModelView& m, bool two_level,
                      std::span<const admm::ScenarioView> views, std::span<const int> slots,
                      std::span<double> partial_primal, std::span<double> partial_z,
                      int row_stride);
 
-/// Interleaved variant: one block per (tile group, pair), vectorizable lane
-/// loop over the group's active scenarios.
-void batch_update_zy(device::Device& dev, const admm::ModelView& m, bool two_level,
-                     std::span<const admm::ScenarioView> views,
-                     std::span<const TileGroup> groups, std::span<double> partial_primal,
-                     std::span<double> partial_z, int row_stride);
-
 void batch_update_outer_multiplier(device::Device& dev, const admm::ModelView& m,
                                    std::span<const admm::ScenarioView> views,
                                    std::span<const int> slots, double lambda_bound);
 
-/// Interleaved variant: one block per (tile group, pair).
-void batch_update_outer_multiplier(device::Device& dev, const admm::ModelView& m,
-                                   std::span<const admm::ScenarioView> views,
-                                   std::span<const TileGroup> groups, double lambda_bound);
-
 /// Adaptive-penalty rescale: scenario slots[j]'s rho slice *= factors[j].
-/// Layout-aware: indexes through the state's BatchIndexer.
 void batch_scale_rho(device::Device& dev, const admm::ComponentModel& model,
                      admm::BatchAdmmState& state, std::span<const int> slots,
                      std::span<const double> factors);
@@ -130,8 +83,6 @@ void batch_scale_rho(device::Device& dev, const admm::ComponentModel& model,
 /// a slot of `src_state` and `dst` a slot of `dst_state`; passing the same
 /// state for both is the classic in-place chain, distinct states are the
 /// ping-pong wave copy (previous wave's buffer -> current wave's buffer).
-/// Layout-aware on both sides (each state's own BatchIndexer maps its
-/// slots), so ping-pong pairs chain correctly in either layout.
 struct ChainLink {
   int dst = -1;
   int src = -1;

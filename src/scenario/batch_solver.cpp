@@ -34,37 +34,26 @@ double collect_slot_max(std::span<const double> partial, int j, int row_stride, 
   return result;
 }
 
-/// Extracts slot `s`'s solution from whole-buffer host downloads, mapping
-/// elements through the batch layout's indexer (slot slices are contiguous
-/// in scenario-major, kTileWidth-strided in interleaved).
-grid::OpfSolution slice_solution(const grid::Network& net, const admm::BatchIndexer& idx,
-                                 std::span<const double> w, std::span<const double> theta,
-                                 std::span<const double> pg, std::span<const double> qg, int s) {
+/// Extracts slot `s`'s solution from host copies of the batch's bus and
+/// generator arrays (slot s is the slice starting at s * extent).
+grid::OpfSolution slice_solution(const grid::Network& net, std::span<const double> w,
+                                 std::span<const double> theta, std::span<const double> pg,
+                                 std::span<const double> qg, int s) {
   grid::OpfSolution sol = grid::OpfSolution::zeros(net);
   const auto nb = static_cast<std::size_t>(net.num_buses());
   const auto ng = static_cast<std::size_t>(net.num_generators());
-  const double ref_angle = theta[idx.index(s, static_cast<std::size_t>(net.ref_bus), nb)];
+  const auto bus0 = static_cast<std::size_t>(s) * nb;
+  const auto gen0 = static_cast<std::size_t>(s) * ng;
+  const double ref_angle = theta[bus0 + static_cast<std::size_t>(net.ref_bus)];
   for (std::size_t i = 0; i < nb; ++i) {
-    sol.vm[i] = std::sqrt(std::max(w[idx.index(s, i, nb)], 1e-12));
-    sol.va[i] = theta[idx.index(s, i, nb)] - ref_angle;
+    sol.vm[i] = std::sqrt(std::max(w[bus0 + i], 1e-12));
+    sol.va[i] = theta[bus0 + i] - ref_angle;
   }
   for (std::size_t g = 0; g < ng; ++g) {
-    sol.pg[g] = pg[idx.index(s, g, ng)];
-    sol.qg[g] = qg[idx.index(s, g, ng)];
+    sol.pg[g] = pg[gen0 + g];
+    sol.qg[g] = qg[gen0 + g];
   }
   return sol;
-}
-
-/// Downloads slot `s`'s logical slice of one batch buffer: a contiguous
-/// slice download in scenario-major, a strided gather in interleaved —
-/// either way one counted transfer of exactly the slice's bytes.
-void download_slot(const device::DeviceBuffer<double>& buffer, const admm::BatchIndexer& idx,
-                   int s, std::span<double> host) {
-  if (idx.interleaved()) {
-    buffer.download_strided(idx.offset(s, host.size()), idx.stride(), host);
-  } else {
-    buffer.download_slice(idx.offset(s, host.size()), host);
-  }
 }
 
 /// Swaps a reusable evaluation copy's loads for the scenario's.
@@ -144,10 +133,9 @@ admm::AdmmParams effective_params(const admm::AdmmParams& base, const ScenarioCo
   return p;
 }
 
-void BatchAdmmSolver::ensure_storage(bool ping_pong, admm::BatchLayout layout) {
-  if (storage_ready_ && plan_.ping_pong == ping_pong && layout_ == layout) return;
+void BatchAdmmSolver::ensure_storage(bool ping_pong) {
+  if (storage_ready_ && plan_.ping_pong == ping_pong) return;
   plan_ = BatchPlan::create(scenarios_, waves_, num_shards(), ping_pong);
-  layout_ = layout;
   shards_.clear();
   shards_.resize(devs_.size());
   const int buffers = ping_pong ? 2 : 1;
@@ -158,7 +146,7 @@ void BatchAdmmSolver::ensure_storage(bool ping_pong, admm::BatchLayout layout) {
     shard.states.reserve(static_cast<std::size_t>(buffers));
     shard.views.resize(static_cast<std::size_t>(buffers));
     for (int b = 0; b < buffers; ++b) {
-      shard.states.push_back(admm::BatchAdmmState::zeros(model_, capacity, layout));
+      shard.states.push_back(admm::BatchAdmmState::zeros(model_, capacity));
       auto& views = shard.views[static_cast<std::size_t>(b)];
       views.clear();
       views.reserve(static_cast<std::size_t>(capacity));
@@ -211,24 +199,17 @@ void BatchAdmmSolver::stage_buffer(Shard& shard, int buf, std::span<const int> g
                                    const BatchSolveOptions& options) {
   if (globals.empty()) return;
   admm::BatchAdmmState& state = shard.states[static_cast<std::size_t>(buf)];
-  const admm::BatchIndexer idx = state.indexer();
-  // Host staging arrays mirror the device layout exactly (including
-  // interleaved tile padding), so each upload stays one bulk transfer.
-  const auto C = static_cast<std::size_t>(state.padded_scenarios);
+  // Host staging arrays mirror the device buffers exactly, so each upload
+  // stays one bulk transfer.
+  const auto C = static_cast<std::size_t>(state.num_scenarios);
   const auto np = static_cast<std::size_t>(model_.num_pairs);
   const auto nb = static_cast<std::size_t>(model_.num_buses);
   const auto ng = static_cast<std::size_t>(model_.num_gens);
   const auto nl = static_cast<std::size_t>(model_.num_branches);
-  /// Writes one scenario's logical slice into a layout-mapped host array.
-  const auto scatter = [&idx](std::span<const double> src, std::vector<double>& dst, int slot) {
-    const std::size_t extent = src.size();
-    const std::size_t off = idx.offset(slot, extent);
-    if (!idx.interleaved()) {
-      std::copy(src.begin(), src.end(), dst.begin() + static_cast<std::ptrdiff_t>(off));
-    } else {
-      const std::size_t stride = idx.stride();
-      for (std::size_t k = 0; k < extent; ++k) dst[off + k * stride] = src[k];
-    }
+  /// Writes one scenario's slice into a host staging array.
+  const auto scatter = [](std::span<const double> src, std::vector<double>& dst, int slot) {
+    const auto off = static_cast<std::ptrdiff_t>(static_cast<std::size_t>(slot) * src.size());
+    std::copy(src.begin(), src.end(), dst.begin() + off);
   };
 
   // Chained slots need no iterate staging: the wave loop's on-device chain
@@ -263,6 +244,7 @@ void BatchAdmmSolver::stage_buffer(Shard& shard, int buf, std::span<const int> g
   for (const int s : globals) {
     const auto& sc = scenarios_[static_cast<std::size_t>(s)];
     const int slot = plan_.slot_of[static_cast<std::size_t>(s)];
+    const auto slot0 = static_cast<std::size_t>(slot);
     const admm::WarmStartIterate* iterate =
         options.initial_iterates.empty()
             ? nullptr
@@ -315,8 +297,8 @@ void BatchAdmmSolver::stage_buffer(Shard& shard, int buf, std::span<const int> g
     scatter(sc.pd, hpd, slot);
     scatter(sc.qd, hqd, slot);
     for (std::size_t g = 0; g < ng; ++g) {
-      hpmin[idx.index(slot, g, ng)] = net_.generators[g].pmin;
-      hpmax[idx.index(slot, g, ng)] = net_.generators[g].pmax;
+      hpmin[slot0 * ng + g] = net_.generators[g].pmin;
+      hpmax[slot0 * ng + g] = net_.generators[g].pmax;
     }
 
     // Outage zeroing runs last so no warm start can reintroduce values on
@@ -324,18 +306,16 @@ void BatchAdmmSolver::stage_buffer(Shard& shard, int buf, std::span<const int> g
     // kernel skips them, and they contribute nothing to residuals.
     if (sc.outage_branch >= 0) {
       const auto l = static_cast<std::size_t>(sc.outage_branch);
-      hactive[idx.index(slot, l, nl)] = 0;
+      hactive[slot0 * nl + l] = 0;
       const auto pair_base =
           static_cast<std::size_t>(admm::branch_pair_base(model_.num_gens, sc.outage_branch));
       for (std::size_t t = 0; t < 8; ++t) {
-        for (auto* arr : {&hu, &hv, &hz, &hy, &hlz}) {
-          (*arr)[idx.index(slot, pair_base + t, np)] = 0.0;
-        }
+        for (auto* arr : {&hu, &hv, &hz, &hy, &hlz}) (*arr)[slot0 * np + pair_base + t] = 0.0;
       }
-      for (std::size_t a = 0; a < 4; ++a) hbx[idx.index(slot, 4 * l + a, 4 * nl)] = 0.0;
+      for (std::size_t a = 0; a < 4; ++a) hbx[slot0 * 4 * nl + 4 * l + a] = 0.0;
       for (std::size_t a = 0; a < 2; ++a) {
-        hbs[idx.index(slot, 2 * l + a, 2 * nl)] = 0.0;
-        hblam[idx.index(slot, 2 * l + a, 2 * nl)] = 0.0;
+        hbs[slot0 * 2 * nl + 2 * l + a] = 0.0;
+        hblam[slot0 * 2 * nl + 2 * l + a] = 0.0;
       }
     }
   }
@@ -420,10 +400,8 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
   }
 
   const int lanes = shard.dev->workers();
-  const bool interleaved = layout_ == admm::BatchLayout::kInterleaved;
   const std::span<const admm::ScenarioView> views = shard.views[static_cast<std::size_t>(buf)];
-  // Per-step scratch lives outside the loop (and the tile-group vectors
-  // outside the solve, in the shard) so the hot path performs no
+  // Per-step scratch lives outside the loop so the hot path performs no
   // allocations once capacities are reached.
   device::AlignedVector<double> partial_primal, partial_dual, partial_z;
   std::vector<int> next_active, slots, outer_slots, rho_slots;
@@ -467,24 +445,11 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
       slots[static_cast<std::size_t>(j)] =
           plan_.slot_of[static_cast<std::size_t>(active[static_cast<std::size_t>(j)])];
     }
-    // Interleaved: re-pack the surviving slots into tile groups — retired
-    // scenarios leave their tile, so full tiles shrink to partial groups
-    // and drop to the masked path while every remaining full tile keeps
-    // the vectorized lane loop.
-    if (interleaved) pack_tile_groups(slots, shard.tile_groups);
     take_phase(shard.phases.residual_seconds, "fused.pack");
 
     // One fused step: every active scenario advances one inner iteration
-    // with a constant number of launches on this shard's device. The
-    // elementwise kernels dispatch per layout (slot-major blocks vs
-    // component-major tile groups); the TRON branch kernel is the same
-    // call either way.
-    const std::span<const TileGroup> groups = shard.tile_groups;
-    if (interleaved) {
-      batch_update_generators(*shard.dev, mview_, views, groups);
-    } else {
-      batch_update_generators(*shard.dev, mview_, views, slots);
-    }
+    // with a constant number of launches on this shard's device.
+    batch_update_generators(*shard.dev, mview_, views, slots);
     take_phase(shard.phases.generator_seconds, "fused.generator");
     batch_update_branches(*shard.dev, mview_, params_, views, slots, shard.branch_lanes,
                           &shard.branch_stats,
@@ -492,19 +457,10 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
                                               : std::span<std::uint64_t>{},
                           row);
     take_phase(shard.phases.branch_seconds, "fused.branch");
-    if (interleaved) {
-      batch_update_buses(*shard.dev, mview_, views, groups, partial_dual, row);
-    } else {
-      batch_update_buses(*shard.dev, mview_, views, slots, partial_dual, row);
-    }
+    batch_update_buses(*shard.dev, mview_, views, slots, partial_dual, row);
     take_phase(shard.phases.bus_seconds, "fused.bus");
-    if (interleaved) {
-      batch_update_zy(*shard.dev, mview_, params_.two_level, views, groups, partial_primal,
-                      partial_z, row);
-    } else {
-      batch_update_zy(*shard.dev, mview_, params_.two_level, views, slots, partial_primal,
-                      partial_z, row);
-    }
+    batch_update_zy(*shard.dev, mview_, params_.two_level, views, slots, partial_primal,
+                    partial_z, row);
     take_phase(shard.phases.zy_seconds, "fused.zy");
 
     next_active.clear();
@@ -629,15 +585,7 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
                       rho_factors);
     }
     if (!outer_slots.empty()) {
-      if (interleaved) {
-        pack_tile_groups(outer_slots, shard.outer_groups);
-        batch_update_outer_multiplier(*shard.dev, mview_, views,
-                                      std::span<const TileGroup>(shard.outer_groups),
-                                      params_.lambda_bound);
-      } else {
-        batch_update_outer_multiplier(*shard.dev, mview_, views, outer_slots,
-                                      params_.lambda_bound);
-      }
+      batch_update_outer_multiplier(*shard.dev, mview_, views, outer_slots, params_.lambda_bound);
     }
     take_phase(shard.phases.outer_seconds, "fused.outer");
     // Beta escalation applies after the multiplier update, exactly as in
@@ -670,7 +618,6 @@ void BatchAdmmSolver::evaluate_shard(int shard_id, int buf, std::span<const int>
   if (globals.empty()) return;
   const admm::BatchAdmmState& state =
       shards_[static_cast<std::size_t>(shard_id)].states[static_cast<std::size_t>(buf)];
-  const admm::BatchIndexer idx = state.indexer();
   const auto w = state.bus_w.to_host();
   const auto theta = state.bus_theta.to_host();
   const auto pg = state.gen_pg.to_host();
@@ -678,7 +625,7 @@ void BatchAdmmSolver::evaluate_shard(int shard_id, int buf, std::span<const int>
   for (const int s : globals) {
     const auto& sc = scenarios_[static_cast<std::size_t>(s)];
     const int slot = plan_.slot_of[static_cast<std::size_t>(s)];
-    auto sol = slice_solution(net_, idx, w, theta, pg, qg, slot);
+    auto sol = slice_solution(net_, w, theta, pg, qg, slot);
     apply_scenario_loads(eval_net, sc);
     report.records[static_cast<std::size_t>(s)] =
         make_record(s, sc, stats_[static_cast<std::size_t>(s)],
@@ -694,7 +641,7 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
   if (options.trace) obs::Tracer::instance().enable();
   const obs::TraceSpan solve_span("solver.solve", "scenarios", static_cast<std::uint64_t>(S),
                                   "shards", static_cast<std::uint64_t>(num_shards()));
-  ensure_storage(options.ping_pong, options.layout);
+  ensure_storage(options.ping_pong);
   report.num_shards = num_shards();
   ctrl_.assign(static_cast<std::size_t>(S), Control{});
   beta_.assign(static_cast<std::size_t>(S), 0.0);
@@ -854,22 +801,19 @@ grid::OpfSolution BatchAdmmSolver::solution(int s) const {
   require(s >= 0 && s < num_scenarios(), "BatchAdmmSolver::solution: scenario out of range");
   require(solved_, "BatchAdmmSolver::solution: valid only after solve()");
   if (plan_.ping_pong) return pp_solutions_[static_cast<std::size_t>(s)];
-  // Slot-slice download: move only scenario s's data, not the batch
-  // (contiguous in scenario-major, one strided gather per array when
-  // interleaved).
+  // Slot-slice download: move only scenario s's data, not the batch.
   const Shard& shard =
       shards_[static_cast<std::size_t>(plan_.shard_of[static_cast<std::size_t>(s)])];
   const admm::BatchAdmmState& state = shard.states.front();
-  const admm::BatchIndexer idx = state.indexer();
   const auto nb = static_cast<std::size_t>(model_.num_buses);
   const auto ng = static_cast<std::size_t>(model_.num_gens);
-  const int slot = plan_.slot_of[static_cast<std::size_t>(s)];
+  const auto slot = static_cast<std::size_t>(plan_.slot_of[static_cast<std::size_t>(s)]);
   std::vector<double> w(nb), theta(nb), pg(ng), qg(ng);
-  download_slot(state.bus_w, idx, slot, w);
-  download_slot(state.bus_theta, idx, slot, theta);
-  download_slot(state.gen_pg, idx, slot, pg);
-  download_slot(state.gen_qg, idx, slot, qg);
-  return slice_solution(net_, admm::BatchIndexer{}, w, theta, pg, qg, /*s=*/0);
+  state.bus_w.download_slice(slot * nb, w);
+  state.bus_theta.download_slice(slot * nb, theta);
+  state.gen_pg.download_slice(slot * ng, pg);
+  state.gen_qg.download_slice(slot * ng, qg);
+  return slice_solution(net_, w, theta, pg, qg, /*s=*/0);
 }
 
 admm::WarmStartIterate BatchAdmmSolver::export_iterate(int s) const {
@@ -883,12 +827,11 @@ admm::WarmStartIterate BatchAdmmSolver::export_iterate(int s) const {
   const Shard& shard =
       shards_[static_cast<std::size_t>(plan_.shard_of[static_cast<std::size_t>(s)])];
   const admm::BatchAdmmState& state = shard.states[static_cast<std::size_t>(buffer_of(s))];
-  const admm::BatchIndexer idx = state.indexer();
   const auto np = static_cast<std::size_t>(model_.num_pairs);
   const auto nb = static_cast<std::size_t>(model_.num_buses);
   const auto ng = static_cast<std::size_t>(model_.num_gens);
   const auto nl = static_cast<std::size_t>(model_.num_branches);
-  const int slot = plan_.slot_of[static_cast<std::size_t>(s)];
+  const auto slot = static_cast<std::size_t>(plan_.slot_of[static_cast<std::size_t>(s)]);
   admm::WarmStartIterate it;
   it.u.resize(np);
   it.v.resize(np);
@@ -903,19 +846,19 @@ admm::WarmStartIterate BatchAdmmSolver::export_iterate(int s) const {
   it.branch_s.resize(2 * nl);
   it.branch_lambda.resize(2 * nl);
   it.rho.resize(np);
-  download_slot(state.u, idx, slot, it.u);
-  download_slot(state.v, idx, slot, it.v);
-  download_slot(state.z, idx, slot, it.z);
-  download_slot(state.y, idx, slot, it.y);
-  download_slot(state.lz, idx, slot, it.lz);
-  download_slot(state.bus_w, idx, slot, it.bus_w);
-  download_slot(state.bus_theta, idx, slot, it.bus_theta);
-  download_slot(state.gen_pg, idx, slot, it.gen_pg);
-  download_slot(state.gen_qg, idx, slot, it.gen_qg);
-  download_slot(state.branch_x, idx, slot, it.branch_x);
-  download_slot(state.branch_s, idx, slot, it.branch_s);
-  download_slot(state.branch_lambda, idx, slot, it.branch_lambda);
-  download_slot(state.rho, idx, slot, it.rho);
+  state.u.download_slice(slot * np, it.u);
+  state.v.download_slice(slot * np, it.v);
+  state.z.download_slice(slot * np, it.z);
+  state.y.download_slice(slot * np, it.y);
+  state.lz.download_slice(slot * np, it.lz);
+  state.bus_w.download_slice(slot * nb, it.bus_w);
+  state.bus_theta.download_slice(slot * nb, it.bus_theta);
+  state.gen_pg.download_slice(slot * ng, it.gen_pg);
+  state.gen_qg.download_slice(slot * ng, it.gen_qg);
+  state.branch_x.download_slice(slot * 4 * nl, it.branch_x);
+  state.branch_s.download_slice(slot * 2 * nl, it.branch_s);
+  state.branch_lambda.download_slice(slot * 2 * nl, it.branch_lambda);
+  state.rho.download_slice(slot * np, it.rho);
   it.beta = beta_[static_cast<std::size_t>(s)];
   it.rho_scale = rho_scale_[static_cast<std::size_t>(s)];
   return it;
@@ -930,14 +873,13 @@ std::vector<grid::OpfSolution> BatchAdmmSolver::solutions() const {
     const auto& owned = plan_.shard_scenarios[static_cast<std::size_t>(d)];
     if (owned.empty()) continue;
     const admm::BatchAdmmState& state = shard.states.front();
-    const admm::BatchIndexer idx = state.indexer();
     const auto w = state.bus_w.to_host();
     const auto theta = state.bus_theta.to_host();
     const auto pg = state.gen_pg.to_host();
     const auto qg = state.gen_qg.to_host();
     for (const int s : owned) {
-      result[static_cast<std::size_t>(s)] = slice_solution(
-          net_, idx, w, theta, pg, qg, plan_.slot_of[static_cast<std::size_t>(s)]);
+      result[static_cast<std::size_t>(s)] =
+          slice_solution(net_, w, theta, pg, qg, plan_.slot_of[static_cast<std::size_t>(s)]);
     }
   }
   return result;

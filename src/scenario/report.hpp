@@ -34,15 +34,15 @@ struct ScenarioRecord {
 /// Wall time attributed to each phase of the fused iteration loop,
 /// accumulated per kernel call. Shards run concurrently, so with D > 1
 /// these are CPU-attributed sums across shards (they can exceed the loop's
-/// wall time); per phase they remain comparable between layouts and are
+/// wall time); per phase they remain comparable between runs and are
 /// what bench_kernel_breakdown records.
 struct PhaseBreakdown {
   double generator_seconds = 0.0;  ///< fused generator-update launches
   double branch_seconds = 0.0;     ///< fused TRON branch-update launches
   double bus_seconds = 0.0;        ///< fused bus-update launches
   double zy_seconds = 0.0;         ///< fused z+y launches
-  /// Host-side per-scenario work between kernels: tile packing, residual
-  /// max-collection, convergence control flow.
+  /// Host-side per-scenario work between kernels: active-slot packing,
+  /// residual max-collection, convergence control flow.
   double residual_seconds = 0.0;
   /// Outer-transition launches: adaptive-rho rescale + outer multiplier.
   double outer_seconds = 0.0;

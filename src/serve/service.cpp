@@ -812,7 +812,6 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
       obs::span_between("serve.stage", ctx.form_ns, stage_ns, "batch", ctx.batch_id);
     }
     scenario::BatchSolveOptions solve_options;
-    solve_options.layout = options_.layout;
     solve_options.convergence_sample_interval = options_.convergence_sample_interval;
     solve_options.initial_iterates.assign(members.size(), nullptr);
     for (std::size_t s = 0; s < members.size(); ++s) {
@@ -922,7 +921,6 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
             solo.add(std::move(sc));
             scenario::BatchAdmmSolver rescue(solo, params_, &device);
             scenario::BatchSolveOptions rescue_options;
-            rescue_options.layout = options_.layout;
             rescue_options.convergence_sample_interval = options_.convergence_sample_interval;
             rescue_options.initial_iterates.assign(1, &iterate);
             device::LaunchStats rescue_launches;

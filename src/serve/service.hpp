@@ -49,7 +49,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "admm/batch_state.hpp"
 #include "admm/params.hpp"
 #include "device/device.hpp"
 #include "device/pool.hpp"
@@ -81,11 +80,6 @@ struct ServiceOptions {
   int max_queue_depth = 256;
   /// Warm-start cache sizing and neighbor distance.
   CacheOptions cache;
-  /// Batch memory layout for the fused micro-batch solves (see
-  /// scenario::BatchSolveOptions::layout). Interleaved vectorizes the
-  /// elementwise kernels across the batch's requests; results are
-  /// identical either way.
-  admm::BatchLayout layout = admm::BatchLayout::kScenarioMajor;
   /// Devices in the service-owned pool. Micro-batches are routed to the
   /// least-loaded device, so up to num_devices batches solve concurrently.
   int num_devices = 1;
@@ -99,8 +93,7 @@ struct ServiceOptions {
   int latency_sample_capacity = 4096;
   /// Enables the process-wide obs::Tracer at construction, so the request
   /// lifecycle (admit -> queue -> dispatch -> per-shard solve -> fulfill)
-  /// lands in the Chrome trace. Equivalent to GRIDADMM_TRACE=1; the same
-  /// plumbing pattern as layout.
+  /// lands in the Chrome trace. Equivalent to GRIDADMM_TRACE=1.
   bool trace = false;
   /// Per-scenario convergence sampling interval of the fused micro-batch
   /// solves (see scenario::BatchSolveOptions::convergence_sample_interval);

@@ -600,172 +600,11 @@ TEST(BatchAdmm, PingPongHoldsBatchMemoryConstantInHorizonLength) {
   EXPECT_GT(flat8, pp8);   // ...and exceeds the two-buffer ping-pong pair
 }
 
-TEST(BatchPlan, PackTileGroupsSplitsFullAndPartialTiles) {
-  // 13 active slots with slots 5, 9, and 15 retired: tile 0 is partial
-  // (7 lanes), tile 1 partial (6 lanes). Columns must point at each slot's
-  // position in the active list, the reduction-row contract.
-  std::vector<int> slots = {0, 1, 2, 3, 4, 6, 7, 8, 10, 11, 12, 13, 14};
-  std::vector<TileGroup> groups;
-  pack_tile_groups(slots, groups);
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_EQ(groups[0].first_slot, 0);
-  EXPECT_EQ(groups[0].nlanes, 7);
-  EXPECT_FALSE(groups[0].full());
-  EXPECT_EQ(groups[0].lane[5], 6);
-  EXPECT_EQ(groups[0].column[5], 5);  // slot 6 sits at index 5 of the list
-  EXPECT_EQ(groups[1].first_slot, 8);
-  EXPECT_EQ(groups[1].nlanes, 6);
-  EXPECT_EQ(groups[1].lane[0], 0);
-  EXPECT_EQ(groups[1].column[0], 7);  // slot 8 sits at index 7
-
-  // A fully-active aligned batch packs into full groups only.
-  std::vector<int> all(16);
-  for (int j = 0; j < 16; ++j) all[static_cast<std::size_t>(j)] = j;
-  pack_tile_groups(all, groups);
-  ASSERT_EQ(groups.size(), 2u);
-  EXPECT_TRUE(groups[0].full());
-  EXPECT_TRUE(groups[1].full());
-  EXPECT_EQ(groups[1].column[7], 15);
-}
-
-TEST(BatchAdmm, InterleavedLayoutMatchesScenarioMajorAndSequential) {
-  // The tentpole acceptance bar: the interleaved (component-major,
-  // scenario-innermost) layout must be bit-identical to the scenario-major
-  // layout and to S independent sequential solves — same iteration counts,
-  // same residual doubles, objectives within 1e-6. S = 13 deliberately
-  // straddles a tile boundary (one full tile + a padded partial tile) and
-  // the load spread makes scenarios retire at different iterations, so the
-  // full->partial tile repacking path is exercised as the batch drains.
-  const auto net = grid::load_embedded_case("case9");
-  const auto params = admm::params_for_case("case9", net.num_buses());
-  ScenarioSet set(net);
-  set.add_load_scale(13, 0.92, 1.08);
-
-  const auto sequential = solve_sequential(set, params);
-  BatchAdmmSolver major_solver(set, params);
-  const auto major = major_solver.solve();
-  BatchAdmmSolver inter_solver(set, params);
-  BatchSolveOptions options;
-  options.layout = admm::BatchLayout::kInterleaved;
-  const auto interleaved = inter_solver.solve(options);
-
-  ASSERT_EQ(interleaved.records.size(), 13u);
-  for (int s = 0; s < set.size(); ++s) {
-    SCOPED_TRACE("scenario " + std::to_string(s));
-    EXPECT_EQ(interleaved.records[s].inner_iterations, major.records[s].inner_iterations);
-    EXPECT_EQ(interleaved.records[s].outer_iterations, major.records[s].outer_iterations);
-    EXPECT_EQ(interleaved.records[s].converged, major.records[s].converged);
-    EXPECT_DOUBLE_EQ(interleaved.records[s].primal_residual, major.records[s].primal_residual);
-    EXPECT_DOUBLE_EQ(interleaved.records[s].dual_residual, major.records[s].dual_residual);
-    EXPECT_EQ(interleaved.records[s].inner_iterations, sequential.records[s].inner_iterations);
-    EXPECT_DOUBLE_EQ(interleaved.records[s].primal_residual,
-                     sequential.records[s].primal_residual);
-    EXPECT_LT(rel_diff(interleaved.records[s].objective, sequential.records[s].objective), 1e-6);
-    EXPECT_LT(rel_diff(interleaved.records[s].objective, major.records[s].objective), 1e-6);
-  }
-
-  // Same launches, ~kTileWidth fewer blocks on the elementwise kernels:
-  // the structural win the layout exists for.
-  EXPECT_EQ(interleaved.launch_stats.launches, major.launch_stats.launches);
-  EXPECT_LT(interleaved.launch_stats.blocks, major.launch_stats.blocks);
-
-  // Per-slot extraction agrees bit for bit across layouts (exercises the
-  // strided slice download against the contiguous one).
-  const auto sol_major = major_solver.solution(9);
-  const auto sol_inter = inter_solver.solution(9);
-  for (int b = 0; b < net.num_buses(); ++b) {
-    EXPECT_DOUBLE_EQ(sol_inter.vm[static_cast<std::size_t>(b)],
-                     sol_major.vm[static_cast<std::size_t>(b)]);
-  }
-  const auto it_major = major_solver.export_iterate(9);
-  const auto it_inter = inter_solver.export_iterate(9);
-  for (std::size_t k = 0; k < it_major.u.size(); ++k) {
-    EXPECT_DOUBLE_EQ(it_inter.u[k], it_major.u[k]);
-    EXPECT_DOUBLE_EQ(it_inter.y[k], it_major.y[k]);
-  }
-}
-
-TEST(BatchAdmm, InterleavedMatchesAcrossShardsWithOutageMasks) {
-  // Layout equivalence under sharding and N-1 masks: for 1/2/4 shards the
-  // interleaved solve must reproduce the single-device scenario-major
-  // reference exactly (iterations, residuals, 1e-6 objectives). Iteration
-  // budgets are capped so the four case30 solves stay fast — capped
-  // scenarios exhaust their budget on the identical iterate either way,
-  // which makes the equivalence check cover the non-converged paths too.
-  const auto net = grid::load_embedded_case("case30");
-  auto params = admm::params_for_case("case30", net.num_buses());
-  params.max_inner_iterations = 80;
-  params.max_outer_iterations = 2;
-  ScenarioSet set(net);
-  set.add_load_scale(5, 0.95, 1.05);
-  ASSERT_GE(set.add_n1_contingencies(5), 3);
-
-  BatchAdmmSolver reference(set, params);
-  const auto major = reference.solve();
-  BatchSolveOptions options;
-  options.layout = admm::BatchLayout::kInterleaved;
-  for (const int D : {1, 2, 4}) {
-    SCOPED_TRACE(std::to_string(D) + " shards");
-    device::DevicePool pool(D, 1);
-    BatchAdmmSolver solver(set, params, pool);
-    const auto interleaved = solver.solve(options);
-    for (int s = 0; s < set.size(); ++s) {
-      SCOPED_TRACE(set[s].name);
-      EXPECT_EQ(interleaved.records[s].inner_iterations, major.records[s].inner_iterations);
-      EXPECT_EQ(interleaved.records[s].converged, major.records[s].converged);
-      EXPECT_DOUBLE_EQ(interleaved.records[s].primal_residual, major.records[s].primal_residual);
-      EXPECT_DOUBLE_EQ(interleaved.records[s].dual_residual, major.records[s].dual_residual);
-      EXPECT_LT(rel_diff(interleaved.records[s].objective, major.records[s].objective), 1e-6);
-    }
-  }
-}
-
-TEST(BatchAdmm, InterleavedPingPongTrackingMatchesScenarioMajor) {
-  // Layout equivalence for chained waves in ping-pong buffers: the
-  // on-device chain copy and ramp kernels must map slots through each
-  // buffer's layout correctly.
-  const auto net = grid::load_embedded_case("case9");
-  const auto params = admm::params_for_case("case9", net.num_buses());
-  ScenarioSet set(net);
-  for (int p = 0; p < 2; ++p) {
-    grid::LoadProfileSpec spec;
-    spec.periods = 4;
-    spec.seed = 3 + static_cast<std::uint64_t>(p);
-    set.add_tracking_sequence(spec, 0.02);
-  }
-
-  BatchAdmmSolver persistent(set, params);
-  const auto flat = persistent.solve();
-  for (const bool ping_pong : {false, true}) {
-    SCOPED_TRACE(ping_pong ? "ping-pong" : "persistent");
-    BatchAdmmSolver solver(set, params);
-    BatchSolveOptions options;
-    options.layout = admm::BatchLayout::kInterleaved;
-    options.ping_pong = ping_pong;
-    const auto interleaved = solver.solve(options);
-    for (int s = 0; s < set.size(); ++s) {
-      SCOPED_TRACE("scenario " + std::to_string(s));
-      EXPECT_EQ(interleaved.records[s].inner_iterations, flat.records[s].inner_iterations);
-      EXPECT_EQ(interleaved.records[s].outer_iterations, flat.records[s].outer_iterations);
-      EXPECT_DOUBLE_EQ(interleaved.records[s].primal_residual, flat.records[s].primal_residual);
-      EXPECT_LT(rel_diff(interleaved.records[s].objective, flat.records[s].objective), 1e-6);
-    }
-    const auto flat_solutions = persistent.solutions();
-    const auto inter_solutions = solver.solutions();
-    for (int s = 0; s < set.size(); ++s) {
-      for (int b = 0; b < net.num_buses(); ++b) {
-        EXPECT_DOUBLE_EQ(inter_solutions[s].vm[static_cast<std::size_t>(b)],
-                         flat_solutions[s].vm[static_cast<std::size_t>(b)]);
-      }
-    }
-  }
-}
-
 TEST(BatchAdmm, SteadyStateSolveAllocatesNoDeviceMemory) {
   // The hot path must not allocate: once storage exists (first solve),
-  // re-solving — staging, the fused loop, tile repacking, adaptive-rho
-  // rescales, evaluation — performs zero device allocations in either
-  // layout. Adaptive rho is forced on with a hair-trigger imbalance
+  // re-solving — staging, the fused loop, adaptive-rho rescales,
+  // evaluation — performs zero device allocations. Adaptive rho is forced
+  // on with a hair-trigger imbalance
   // threshold so the rescale launch provably runs inside the measured
   // window (a [=] lambda that captured the ComponentModel by value would
   // copy its DeviceBuffers here and fail the allocation check).
@@ -775,75 +614,64 @@ TEST(BatchAdmm, SteadyStateSolveAllocatesNoDeviceMemory) {
   params.adaptive_rho_mu = 1.05;
   ScenarioSet set(net);
   set.add_load_scale(10, 0.95, 1.05);
-  for (const auto layout : {admm::BatchLayout::kScenarioMajor, admm::BatchLayout::kInterleaved}) {
-    SCOPED_TRACE(admm::layout_name(layout));
-    BatchAdmmSolver solver(set, params);
-    BatchSolveOptions options;
-    options.layout = layout;
-    solver.solve(options);  // allocates shard storage + branch lane workspaces
-    const auto before = device::allocation_stats();
-    const auto workspaces_before = admm::BranchWorkspace::created();
-    const auto report = solver.solve(options);  // steady state: reuse everything
-    const auto after = device::allocation_stats();
-    EXPECT_EQ(after.allocations, before.allocations);
-    EXPECT_EQ(after.live_bytes, before.live_bytes);
-    // The branch phase's host side is covered too: the per-lane TRON
-    // workspaces persist in the shard, so a steady-state solve constructs
-    // zero of them (the pre-fix engine built one per lane per launch).
-    EXPECT_EQ(admm::BranchWorkspace::created(), workspaces_before);
-    int rescales = 0;
-    for (const auto& stats : report.stats) rescales += stats.rho_rescales;
-    EXPECT_GT(rescales, 0);  // the rescale path really ran in the window
-  }
+  BatchAdmmSolver solver(set, params);
+  solver.solve();  // allocates shard storage + branch lane workspaces
+  const auto before = device::allocation_stats();
+  const auto workspaces_before = admm::BranchWorkspace::created();
+  const auto report = solver.solve();  // steady state: reuse everything
+  const auto after = device::allocation_stats();
+  EXPECT_EQ(after.allocations, before.allocations);
+  EXPECT_EQ(after.live_bytes, before.live_bytes);
+  // The branch phase's host side is covered too: the per-lane TRON
+  // workspaces persist in the shard, so a steady-state solve constructs
+  // zero of them (the pre-fix engine built one per lane per launch).
+  EXPECT_EQ(admm::BranchWorkspace::created(), workspaces_before);
+  int rescales = 0;
+  for (const auto& stats : report.stats) rescales += stats.rho_rescales;
+  EXPECT_GT(rescales, 0);  // the rescale path really ran in the window
 }
 
-TEST(BatchAdmm, FixedDimBranchPathMatchesGenericAcrossLayoutsAndShards) {
-  // The branch fast path's acceptance bar: with lockstep TRON over
-  // scenario lanes (the default) the batch engine must reproduce the
-  // generic TronSolver path bit for bit — identical per-scenario iteration
-  // counts, residual doubles, and objectives — across both memory layouts
-  // and 1/2/4 shards. S = 13 straddles a tile boundary so the interleaved
-  // repacking runs too, and leaves partly filled lockstep groups.
+TEST(BatchAdmm, LockstepBatchMatchesSequentialBitForBitAcrossShards) {
+  // The lockstep branch kernel's acceptance bar: with lockstep TRON over
+  // scenario lanes the batch engine must reproduce S independent
+  // single-scenario solves (one-lane TRON per branch) bit for bit —
+  // identical per-scenario iteration counts, residual doubles, and
+  // objectives — across 1/2/4 shards. S = 13 leaves partly filled lockstep
+  // groups.
   const auto net = grid::load_embedded_case("case9");
-  auto params = admm::params_for_case("case9", net.num_buses());
+  const auto params = admm::params_for_case("case9", net.num_buses());
   ScenarioSet set(net);
   set.add_load_scale(13, 0.92, 1.08);
 
-  params.branch_solver = admm::BranchSolverPath::kGeneric;
-  BatchAdmmSolver reference(set, params);
-  const auto generic = reference.solve();
+  const auto sequential = solve_sequential(set, params);
 
-  params.branch_solver = admm::BranchSolverPath::kFixedDim;
-  for (const auto layout : {admm::BatchLayout::kScenarioMajor, admm::BatchLayout::kInterleaved}) {
-    for (const int D : {1, 2, 4}) {
-      SCOPED_TRACE(std::string(admm::layout_name(layout)) + ", " + std::to_string(D) + " shards");
-      device::DevicePool pool(D, 1);
-      BatchAdmmSolver solver(set, params, pool);
-      BatchSolveOptions options;
-      options.layout = layout;
-      const auto fixed = solver.solve(options);
-      for (int s = 0; s < set.size(); ++s) {
-        SCOPED_TRACE("scenario " + std::to_string(s));
-        EXPECT_EQ(fixed.records[s].inner_iterations, generic.records[s].inner_iterations);
-        EXPECT_EQ(fixed.records[s].outer_iterations, generic.records[s].outer_iterations);
-        EXPECT_EQ(fixed.records[s].converged, generic.records[s].converged);
-        EXPECT_DOUBLE_EQ(fixed.records[s].primal_residual, generic.records[s].primal_residual);
-        EXPECT_DOUBLE_EQ(fixed.records[s].dual_residual, generic.records[s].dual_residual);
-        EXPECT_DOUBLE_EQ(fixed.records[s].objective, generic.records[s].objective);
-      }
-      // Same iterates means the same branch-solve work, call for call.
-      EXPECT_EQ(fixed.branch.tron_iterations, generic.branch.tron_iterations);
-      EXPECT_EQ(fixed.branch.cg_iterations, generic.branch.cg_iterations);
-      EXPECT_EQ(fixed.branch.function_evals, generic.branch.function_evals);
+  for (const int D : {1, 2, 4}) {
+    SCOPED_TRACE(std::to_string(D) + " shards");
+    device::DevicePool pool(D, 1);
+    BatchAdmmSolver solver(set, params, pool);
+    const auto batched = solver.solve();
+    for (int s = 0; s < set.size(); ++s) {
+      SCOPED_TRACE("scenario " + std::to_string(s));
+      EXPECT_EQ(batched.records[s].inner_iterations, sequential.records[s].inner_iterations);
+      EXPECT_EQ(batched.records[s].outer_iterations, sequential.records[s].outer_iterations);
+      EXPECT_EQ(batched.records[s].converged, sequential.records[s].converged);
+      EXPECT_DOUBLE_EQ(batched.records[s].primal_residual, sequential.records[s].primal_residual);
+      EXPECT_DOUBLE_EQ(batched.records[s].dual_residual, sequential.records[s].dual_residual);
+      EXPECT_DOUBLE_EQ(batched.records[s].objective, sequential.records[s].objective);
     }
+    // Same iterates means the same branch-solve work, call for call.
+    EXPECT_EQ(batched.branch.tron_iterations, sequential.branch.tron_iterations);
+    EXPECT_EQ(batched.branch.cg_iterations, sequential.branch.cg_iterations);
+    EXPECT_EQ(batched.branch.function_evals, sequential.branch.function_evals);
   }
 }
 
-TEST(BatchAdmm, FixedDimBranchPathMatchesGenericOnRatedAndOutagedBranches) {
+TEST(BatchAdmm, LockstepBatchMatchesSequentialOnRatedAndOutagedBranches) {
   // case30 carries line ratings, so this exercises the 6-variable
-  // augmented-Lagrangian fast path (LockstepTron<6, W>) plus outage masks;
-  // budgets are capped to keep the solves fast (capped scenarios exhaust
-  // the budget on the identical iterate either way).
+  // augmented-Lagrangian path (LockstepTron<6, W>) plus outage masks
+  // against reduced-network sequential solves; budgets are capped to keep
+  // the solves fast (capped scenarios exhaust the budget on the identical
+  // iterate either way).
   const auto net = grid::load_embedded_case("case30");
   auto params = admm::params_for_case("case30", net.num_buses());
   params.max_inner_iterations = 60;
@@ -852,29 +680,27 @@ TEST(BatchAdmm, FixedDimBranchPathMatchesGenericOnRatedAndOutagedBranches) {
   set.add_load_scale(3, 0.96, 1.04);
   ASSERT_GE(set.add_n1_contingencies(3), 2);
 
-  params.branch_solver = admm::BranchSolverPath::kGeneric;
-  BatchAdmmSolver reference(set, params);
-  const auto generic = reference.solve();
+  const auto sequential = solve_sequential(set, params);
 
-  params.branch_solver = admm::BranchSolverPath::kFixedDim;
   BatchAdmmSolver solver(set, params);
-  const auto fixed = solver.solve();
+  const auto batched = solver.solve();
   for (int s = 0; s < set.size(); ++s) {
     SCOPED_TRACE(set[s].name);
-    EXPECT_EQ(fixed.records[s].inner_iterations, generic.records[s].inner_iterations);
-    EXPECT_DOUBLE_EQ(fixed.records[s].primal_residual, generic.records[s].primal_residual);
-    EXPECT_DOUBLE_EQ(fixed.records[s].dual_residual, generic.records[s].dual_residual);
-    EXPECT_DOUBLE_EQ(fixed.records[s].objective, generic.records[s].objective);
+    EXPECT_EQ(batched.records[s].inner_iterations, sequential.records[s].inner_iterations);
+    EXPECT_DOUBLE_EQ(batched.records[s].primal_residual, sequential.records[s].primal_residual);
+    EXPECT_DOUBLE_EQ(batched.records[s].dual_residual, sequential.records[s].dual_residual);
+    EXPECT_DOUBLE_EQ(batched.records[s].objective, sequential.records[s].objective);
   }
-  EXPECT_EQ(fixed.branch.auglag_iterations, generic.branch.auglag_iterations);
-  EXPECT_GT(fixed.branch.auglag_iterations, 0);  // the rated path really ran
+  EXPECT_EQ(batched.branch.auglag_iterations, sequential.branch.auglag_iterations);
+  EXPECT_GT(batched.branch.auglag_iterations, 0);  // the rated path really ran
 }
 
-TEST(BatchAdmm, FixedDimBranchPathMatchesGenericThroughPingPongChains) {
+TEST(BatchAdmm, LockstepBatchMatchesSequentialThroughPingPongChains) {
   // Bit-equality must survive the chained-wave machinery: ping-pong
-  // buffers, on-device chain copies, and ramp bounds, in both layouts.
+  // buffers, on-device chain copies, and ramp bounds, against sequential
+  // warm-started solves.
   const auto net = grid::load_embedded_case("case9");
-  auto params = admm::params_for_case("case9", net.num_buses());
+  const auto params = admm::params_for_case("case9", net.num_buses());
   ScenarioSet set(net);
   for (int p = 0; p < 2; ++p) {
     grid::LoadProfileSpec spec;
@@ -883,27 +709,18 @@ TEST(BatchAdmm, FixedDimBranchPathMatchesGenericThroughPingPongChains) {
     set.add_tracking_sequence(spec, 0.02);
   }
 
-  params.branch_solver = admm::BranchSolverPath::kGeneric;
-  BatchAdmmSolver reference(set, params);
-  BatchSolveOptions pp;
-  pp.ping_pong = true;
-  const auto generic = reference.solve(pp);
+  const auto sequential = solve_sequential(set, params);
 
-  params.branch_solver = admm::BranchSolverPath::kFixedDim;
-  for (const auto layout : {admm::BatchLayout::kScenarioMajor, admm::BatchLayout::kInterleaved}) {
-    SCOPED_TRACE(admm::layout_name(layout));
-    BatchAdmmSolver solver(set, params);
-    BatchSolveOptions options;
-    options.ping_pong = true;
-    options.layout = layout;
-    const auto fixed = solver.solve(options);
-    for (int s = 0; s < set.size(); ++s) {
-      SCOPED_TRACE("scenario " + std::to_string(s));
-      EXPECT_EQ(fixed.records[s].inner_iterations, generic.records[s].inner_iterations);
-      EXPECT_EQ(fixed.records[s].outer_iterations, generic.records[s].outer_iterations);
-      EXPECT_DOUBLE_EQ(fixed.records[s].primal_residual, generic.records[s].primal_residual);
-      EXPECT_DOUBLE_EQ(fixed.records[s].objective, generic.records[s].objective);
-    }
+  BatchAdmmSolver solver(set, params);
+  BatchSolveOptions options;
+  options.ping_pong = true;
+  const auto batched = solver.solve(options);
+  for (int s = 0; s < set.size(); ++s) {
+    SCOPED_TRACE("scenario " + std::to_string(s));
+    EXPECT_EQ(batched.records[s].inner_iterations, sequential.records[s].inner_iterations);
+    EXPECT_EQ(batched.records[s].outer_iterations, sequential.records[s].outer_iterations);
+    EXPECT_DOUBLE_EQ(batched.records[s].primal_residual, sequential.records[s].primal_residual);
+    EXPECT_DOUBLE_EQ(batched.records[s].objective, sequential.records[s].objective);
   }
 }
 

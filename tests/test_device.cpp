@@ -102,9 +102,8 @@ TEST(DeviceBuffer, CountsTransfers) {
 }
 
 TEST(DeviceBuffer, AllocationsAreCacheLineAligned) {
-  // The interleaved batch layout's contract: every buffer starts on a
-  // 64-byte boundary, so kTileWidth-double tile rows never straddle cache
-  // lines and vectorized lane loops get an aligned base.
+  // Every buffer starts on a 64-byte boundary, so the per-worker
+  // partial-reduction rows of the fused kernels never share a cache line.
   for (const std::size_t n : {1u, 7u, 8u, 63u, 64u, 1000u, 4097u}) {
     DeviceBuffer<double> buf(n);
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % kDeviceAlignment, 0u)
@@ -119,35 +118,6 @@ TEST(DeviceBuffer, AllocationsAreCacheLineAligned) {
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(copy.data()) % kDeviceAlignment, 0u);
   DeviceBuffer<double> moved = std::move(copy);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(moved.data()) % kDeviceAlignment, 0u);
-}
-
-TEST(DeviceBuffer, DownloadStridedGathersOneLane) {
-  // Interleaved slot extraction: element k of lane l lives at k*W + l for a
-  // tile of W slots; download_strided must gather exactly that lane and
-  // count one transfer of the slice's bytes.
-  constexpr std::size_t kW = 8, kExtent = 5;
-  DeviceBuffer<double> buf(kExtent * kW);
-  std::vector<double> host(kExtent * kW);
-  for (std::size_t k = 0; k < kExtent; ++k) {
-    for (std::size_t lane = 0; lane < kW; ++lane) {
-      host[k * kW + lane] = static_cast<double>(100 * lane + k);
-    }
-  }
-  buf.upload(host);
-
-  const auto before = transfer_stats();
-  std::vector<double> lane3(kExtent);
-  buf.download_strided(/*offset=*/3, /*stride=*/kW, lane3);
-  EXPECT_EQ(transfer_stats().device_to_host, before.device_to_host + 1);
-  EXPECT_EQ(transfer_stats().bytes, before.bytes + kExtent * sizeof(double));
-  for (std::size_t k = 0; k < kExtent; ++k) {
-    EXPECT_DOUBLE_EQ(lane3[k], static_cast<double>(300 + k));
-  }
-
-  // Bounds: last gathered element must stay inside the buffer.
-  std::vector<double> too_many(kExtent + 1);
-  EXPECT_THROW(buf.download_strided(3, kW, too_many), GridError);
-  EXPECT_THROW(buf.download_strided(0, 0, lane3), GridError);
 }
 
 TEST(DeviceBuffer, UploadRejectsSizeMismatch) {
