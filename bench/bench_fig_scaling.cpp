@@ -96,12 +96,14 @@ void BM_FullInnerIteration(benchmark::State& state) {
     bx[4 * l + 1] = 1.0;
   }
   st.branch_x.upload(bx);
+  // The solver's 4 launches per inner iteration, residual reductions included.
+  const auto cells = static_cast<std::size_t>(f.dev->workers() * admm::kReduceStride);
+  std::vector<double> partial_dual(cells), partial_primal(cells), partial_z(cells);
   for (auto _ : state) {
     admm::update_generators(*f.dev, model, st);
     admm::update_branches(*f.dev, model, f.params, st);
-    admm::update_buses(*f.dev, model, st);
-    admm::update_z(*f.dev, model, st);
-    admm::update_y(*f.dev, model, st);
+    admm::update_buses(*f.dev, model, st, partial_dual);
+    admm::update_zy_fused(*f.dev, model, st, /*two_level=*/true, partial_primal, partial_z);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -8,9 +8,11 @@
 // gathers each lane from its own scenario view, and an end-to-end A/B found
 // tiles no faster on the traffic the engine serves (DESIGN.md §8).
 //
-// Per-scenario *problem data* that the scenario engine may vary (penalties
-// rho, loads, generator pg bounds, branch outage masks) lives here too; the
-// scenario-invariant remainder stays in the shared ComponentModel.
+// Per-scenario *problem data* that the scenario engine may vary (loads,
+// generator pg bounds, branch outage masks) lives here too; the
+// scenario-invariant remainder, per-pair penalties rho included, stays in
+// the shared ComponentModel. The outer penalty beta is a host scalar per
+// scenario, held by the batch engine and copied into each ScenarioView.
 //
 // Two-buffer ping-pong mode: for time-coupled sets where only consecutive
 // waves interact, the batch engine allocates a pair of BatchAdmmStates per
@@ -23,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "admm/component_model.hpp"
 #include "admm/kernels_core.hpp"
@@ -43,19 +44,16 @@ struct BatchAdmmState {
   device::DeviceBuffer<double> branch_lambda;      ///< S * 2 * num_branches
 
   // ---- Per-scenario problem data ----
-  device::DeviceBuffer<double> rho;                ///< S * num_pairs
   device::DeviceBuffer<double> pd, qd;             ///< S * num_buses
   device::DeviceBuffer<double> pmin, pmax;         ///< S * num_gens
   device::DeviceBuffer<unsigned char> branch_active;  ///< S * num_branches
 
-  /// Outer penalty, one per scenario (host scalar, like AdmmState::beta).
-  std::vector<double> beta;
-
   /// Allocates all buffers for S scenarios of `model` (zero-filled,
-  /// branch_active = 1, beta = 0).
+  /// branch_active = 1).
   static BatchAdmmState zeros(const ComponentModel& model, int num_scenarios);
 
-  /// Raw-pointer view of scenario s's slices (valid until any resize).
+  /// Raw-pointer view of scenario s's slices (valid until any resize); the
+  /// engine sets its outer penalty.
   [[nodiscard]] ScenarioView view(const ComponentModel& model, int s);
 };
 
@@ -79,13 +77,11 @@ inline BatchAdmmState BatchAdmmState::zeros(const ComponentModel& model, int num
   b.branch_x.resize(4 * nl);
   b.branch_s.resize(2 * nl);
   b.branch_lambda.resize(2 * nl);
-  b.rho.resize(np);
   b.pd.resize(nb);
   b.qd.resize(nb);
   b.pmin.resize(ng);
   b.pmax.resize(ng);
   b.branch_active.resize(nl, 1);
-  b.beta.assign(S, 0.0);
   return b;
 }
 
@@ -108,13 +104,11 @@ inline ScenarioView BatchAdmmState::view(const ComponentModel& model, int s) {
   view.branch_x = branch_x.data() + 4 * nl;
   view.branch_s = branch_s.data() + 2 * nl;
   view.branch_lambda = branch_lambda.data() + 2 * nl;
-  view.rho = rho.data() + np;
   view.pd = pd.data() + nb;
   view.qd = qd.data() + nb;
   view.pmin = pmin.data() + ng;
   view.pmax = pmax.data() + ng;
   view.branch_active = branch_active.data() + nl;
-  view.beta = beta[slot];
   return view;
 }
 

@@ -56,7 +56,7 @@ void update_group(const ModelView& m, const AdmmParams& params,
     for (std::size_t k = 0; k < 8; ++k) {
       d[k] = s.z[base + k] - s.v[base + k];
       yk[k] = s.y[base + k];
-      rhok[k] = s.rho[base + k];
+      rhok[k] = m.rho[base + k];
     }
     problem.bind(j, m.adm + 8 * l, m.vbound + 4 * l, m.rate2[l], d, yk, rhok);
     for (std::size_t a = 0; a < 4; ++a) x[a].set(j, s.branch_x[xrow + a]);

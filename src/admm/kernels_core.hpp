@@ -4,14 +4,18 @@
 //
 // The updates are expressed over two raw-pointer views:
 //   - ModelView: problem data shared by every scenario (topology, costs,
-//     admittances, adjacency);
+//     admittances, adjacency, per-pair penalties rho);
 //   - ScenarioView: one scenario's iterate plus the data that may differ
-//     per scenario (penalties rho, loads, pg bounds, branch-outage mask).
+//     per scenario (loads, pg bounds, branch-outage mask, outer penalty).
 // A single-scenario solve is simply a ScenarioView over AdmmState with the
-// model's own rho/load/bound buffers; a batched solve points each view at
-// one scenario's contiguous slices of a BatchAdmmState. Keeping one copy of
-// the math guarantees the fused batch solve is iterate-for-iterate
-// identical to S independent solver runs.
+// model's own load/bound buffers; a batched solve points each view at one
+// scenario's contiguous slices of a BatchAdmmState. Keeping one copy of the
+// math guarantees the fused batch solve is iterate-for-iterate identical to
+// S independent solver runs.
+//
+// Residual slots are NaN-sticky: a NaN delta overwrites the slot (a plain
+// `delta > *slot` is false for NaN and would drop it), so a non-finite
+// iterate reaches the loop controller's trap instead of "converging".
 #pragma once
 
 #include <algorithm>
@@ -28,6 +32,7 @@ struct ModelView {
   int num_gens = 0;
   int num_branches = 0;
   int num_pairs = 0;
+  const double* rho = nullptr;  ///< per-pair penalty (Table I)
   const double* qmin = nullptr;
   const double* qmax = nullptr;
   const double* c2 = nullptr;
@@ -49,6 +54,7 @@ inline ModelView make_model_view(const ComponentModel& m) {
   v.num_gens = m.num_gens;
   v.num_branches = m.num_branches;
   v.num_pairs = m.num_pairs;
+  v.rho = m.rho.data();
   v.qmin = m.gen_qmin.data();
   v.qmax = m.gen_qmax.data();
   v.c2 = m.gen_c2.data();
@@ -84,7 +90,6 @@ struct ScenarioView {
   double* branch_s = nullptr;
   double* branch_lambda = nullptr;
   // Per-scenario problem data.
-  const double* rho = nullptr;
   const double* pd = nullptr;
   const double* qd = nullptr;
   const double* pmin = nullptr;
@@ -94,7 +99,7 @@ struct ScenarioView {
   double beta = 0.0;  ///< outer penalty on z = 0
 };
 
-/// Binds the single-scenario state as a view (the model's own rho/load/bound
+/// Binds the single-scenario state as a view (the model's own load/bound
 /// buffers double as the per-scenario data).
 inline ScenarioView make_scenario_view(const ComponentModel& m, AdmmState& s) {
   ScenarioView v;
@@ -110,7 +115,6 @@ inline ScenarioView make_scenario_view(const ComponentModel& m, AdmmState& s) {
   v.branch_x = s.branch_x.data();
   v.branch_s = s.branch_s.data();
   v.branch_lambda = s.branch_lambda.data();
-  v.rho = m.rho.data();
   v.pd = m.bus_pd.data();
   v.qd = m.bus_qd.data();
   v.pmin = m.gen_pmin.data();
@@ -133,8 +137,8 @@ inline void generator_update_one(const ModelView& m, const ScenarioView& s, int 
   const int kq = kp + 1;
   // Stationarity: (2 c2 + rho) pg = rho (v - z) - y - c1, then clamp.
   const double p_star =
-      (s.rho[kp] * (s.v[kp] - s.z[kp]) - s.y[kp] - m.c1[g]) / (2.0 * m.c2[g] + s.rho[kp]);
-  const double q_star = (s.rho[kq] * (s.v[kq] - s.z[kq]) - s.y[kq]) / s.rho[kq];
+      (m.rho[kp] * (s.v[kp] - s.z[kp]) - s.y[kp] - m.c1[g]) / (2.0 * m.c2[g] + m.rho[kp]);
+  const double q_star = (m.rho[kq] * (s.v[kq] - s.z[kq]) - s.y[kq]) / m.rho[kq];
   const double p = std::clamp(p_star, s.pmin[g], s.pmax[g]);
   const double q = std::clamp(q_star, m.qmin[g], m.qmax[g]);
   s.gen_pg[g] = p;
@@ -149,15 +153,15 @@ inline void generator_update_one(const ModelView& m, const ScenarioView& s, int 
 inline void bus_update_one(const ModelView& m, const ScenarioView& s, int i, double* dual_slot) {
   // The proximal targets are m_k = u_k + z_k + y_k / rho_k: each duplicate
   // v_k minimizes rho_k/2 (v_k - m_k)^2 subject to the two balance rows.
-  auto rho_at = [&](int k) { return s.rho[k]; };
-  auto target = [&](int k) { return s.u[k] + s.z[k] + s.y[k] / s.rho[k]; };
+  auto rho_at = [&](int k) { return m.rho[k]; };
+  auto target = [&](int k) { return s.u[k] + s.z[k] + s.y[k] / m.rho[k]; };
   auto assign_v = [&](int k, double value) {
     if (dual_slot != nullptr) {
       // Penalty-normalized dual residual |v - v_prev| (Boyd's scaled
       // form): comparable across rho presets and directly meaningful in
       // per-unit terms.
       const double delta = std::abs(value - s.v[k]);
-      if (delta > *dual_slot) *dual_slot = delta;
+      if (delta > *dual_slot || std::isnan(delta)) *dual_slot = delta;
     }
     s.v[k] = value;
   };
@@ -236,12 +240,12 @@ inline void zy_update_one(const ModelView& m, const ScenarioView& s, int k, bool
   if (!pair_active(m, s, k)) return;  // outaged pairs stay at zero
   const double r = s.u[k] - s.v[k];
   if (two_level) {
-    s.z[k] = -(s.lz[k] + s.y[k] + s.rho[k] * r) / (s.beta + s.rho[k]);
+    s.z[k] = -(s.lz[k] + s.y[k] + m.rho[k] * r) / (s.beta + m.rho[k]);
   }
   const double rz = r + s.z[k];
-  s.y[k] += s.rho[k] * rz;
-  if (std::abs(rz) > *slot_primal) *slot_primal = std::abs(rz);
-  if (std::abs(s.z[k]) > *slot_z) *slot_z = std::abs(s.z[k]);
+  s.y[k] += m.rho[k] * rz;
+  if (std::abs(rz) > *slot_primal || std::isnan(rz)) *slot_primal = std::abs(rz);
+  if (std::abs(s.z[k]) > *slot_z || std::isnan(s.z[k])) *slot_z = std::abs(s.z[k]);
 }
 
 /// Outer multiplier update lambda <- clamp(lambda + beta z) (projection (8)).

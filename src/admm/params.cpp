@@ -1,5 +1,7 @@
 #include "admm/params.hpp"
 
+#include "common/error.hpp"
+
 namespace gridadmm::admm {
 
 AdmmParams params_for_case(const std::string& case_name, int num_buses) {
@@ -25,6 +27,11 @@ AdmmParams params_for_case(const std::string& case_name, int num_buses) {
     params.rho_va = 1e3;
   }
   return params;
+}
+
+void require_positive_budgets(const AdmmParams& params, const char* where) {
+  require_valid(params.max_inner_iterations > 0 && params.max_outer_iterations > 0,
+                std::string(where) + ": iteration budgets must be positive");
 }
 
 }  // namespace gridadmm::admm

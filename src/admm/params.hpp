@@ -33,19 +33,6 @@ struct AdmmParams {
   double inner_tolerance_initial = 1e-2;  ///< inner tolerance for the first outer iteration
   double inner_tolerance_factor = 0.05;   ///< proportionality to ||z||_prev
 
-  // ---- Adaptive penalties (extension; paper Section V future work) ----
-  // Residual balancing in the style of the adaptive ADMM of Mhanna et al.
-  // [paper ref 3] / Boyd et al. sec. 3.4.1: every `adaptive_rho_interval`
-  // inner iterations, scale every rho up (down) by adaptive_rho_tau when the
-  // primal residual exceeds adaptive_rho_mu times the dual residual (or vice
-  // versa), within a total scaling budget. Heuristic: the two-level
-  // convergence argument assumes fixed inner penalties.
-  bool adaptive_rho = false;
-  int adaptive_rho_interval = 5;
-  double adaptive_rho_mu = 4.0;
-  double adaptive_rho_tau = 2.0;
-  double adaptive_rho_max_scale = 100.0;  ///< cumulative scaling bound (both ways)
-
   // ---- Branch subproblem (augmented Lagrangian + TRON) ----
   double auglag_rho0 = 10.0;       ///< initial penalty on line-limit equalities
   double auglag_rho_max = 1e8;
@@ -76,5 +63,9 @@ struct AdmmParams {
 /// Returns the Table I preset for a known case name; for unknown names,
 /// returns defaults scaled heuristically by bus count (0 = unknown size).
 AdmmParams params_for_case(const std::string& case_name, int num_buses = 0);
+
+/// Throws ValidationError unless both iteration budgets are positive: a
+/// zero budget would report the untouched start point as a solve.
+void require_positive_budgets(const AdmmParams& params, const char* where);
 
 }  // namespace gridadmm::admm

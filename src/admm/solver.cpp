@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "admm/bus_kernel.hpp"
 #include "admm/generator_kernel.hpp"
 #include "admm/zy_kernel.hpp"
 #include "common/error.hpp"
-#include "common/log.hpp"
+#include "common/numeric.hpp"
 #include "common/timer.hpp"
 #include "grid/flows.hpp"
 
@@ -20,6 +19,7 @@ AdmmSolver::AdmmSolver(grid::Network net, AdmmParams params, device::Device* dev
       dev_(dev != nullptr ? dev : &device::default_device()),
       model_(build_component_model(net_, params_)),
       state_(AdmmState::zeros(model_)) {
+  require_positive_budgets(params_, "AdmmSolver");
   cold_start();
 }
 
@@ -115,9 +115,7 @@ WarmStartIterate AdmmSolver::export_iterate() const {
   it.branch_x = state_.branch_x.to_host();
   it.branch_s = state_.branch_s.to_host();
   it.branch_lambda = state_.branch_lambda.to_host();
-  it.rho = model_.rho.to_host();
   it.beta = state_.beta;
-  it.rho_scale = rho_scale_;
   return it;
 }
 
@@ -135,9 +133,7 @@ void AdmmSolver::import_iterate(const WarmStartIterate& it) {
   state_.branch_x.upload(it.branch_x);
   state_.branch_s.upload(it.branch_s);
   state_.branch_lambda.upload(it.branch_lambda);
-  model_.rho.upload(it.rho);
   state_.beta = std::max(it.beta, params_.beta0);
-  rho_scale_ = it.rho_scale;
 }
 
 void AdmmSolver::prepare_warm_start() {
@@ -148,113 +144,34 @@ void AdmmSolver::prepare_warm_start() {
   state_.beta = std::max(state_.beta, params_.beta0);
 }
 
-namespace {
-double collect_max(std::span<const double> partial, int lanes) {
-  double result = 0.0;
-  for (int lane = 0; lane < lanes; ++lane) {
-    result = std::max(result, partial[static_cast<std::size_t>(lane) * kReduceStride]);
-  }
-  return result;
-}
-}  // namespace
-
 AdmmStats AdmmSolver::solve() {
   WallTimer timer;
-  AdmmStats stats;
-  const bool two_level = params_.two_level;
-  double prev_znorm = std::numeric_limits<double>::infinity();
-
+  LoopControl control(params_, state_.beta, record_history_, net_.name);
+  AdmmStats& stats = control.stats();
   const int lanes = dev_->workers();
   std::vector<double> partial_primal(static_cast<std::size_t>(lanes * kReduceStride), 0.0);
   std::vector<double> partial_dual(static_cast<std::size_t>(lanes * kReduceStride), 0.0);
   std::vector<double> partial_z(static_cast<std::size_t>(lanes * kReduceStride), 0.0);
+  const auto collect = [lanes](std::span<const double> partial) {
+    return collect_slot_max(partial, 0, kReduceStride, lanes);
+  };
 
-  for (int outer = 0; outer < params_.max_outer_iterations; ++outer) {
-    stats.outer_iterations = outer + 1;
-    // Inexact inner solves: proportional to the outer infeasibility, never
-    // looser than the initial tolerance, never tighter than the final one.
-    const double scheduled = std::isfinite(prev_znorm)
-                                 ? params_.inner_tolerance_factor * prev_znorm
-                                 : params_.inner_tolerance_initial;
-    // A final tolerance looser than the initial one (possible via caller
-    // overrides) must not invert the clamp bounds (UB when lo > hi).
-    const double eps_primal =
-        std::clamp(scheduled, params_.primal_tolerance,
-                   std::max(params_.inner_tolerance_initial, params_.primal_tolerance));
-    const double eps_dual =
-        std::clamp(scheduled, params_.dual_tolerance,
-                   std::max(params_.inner_tolerance_initial, params_.dual_tolerance));
-    bool inner_converged = false;
-    for (int inner = 0; inner < params_.max_inner_iterations; ++inner) {
-      ++stats.inner_iterations;
-      update_generators(*dev_, model_, state_);
-      update_branches(*dev_, model_, params_, state_, &stats.branch);
-      update_buses(*dev_, model_, state_, partial_dual);
-      update_zy_fused(*dev_, model_, state_, two_level, partial_primal, partial_z);
-
-      stats.primal_residual = collect_max(partial_primal, lanes);
-      stats.dual_residual = collect_max(partial_dual, lanes);
-      if (record_history_) {
-        stats.primal_history.push_back(stats.primal_residual);
-        stats.dual_history.push_back(stats.dual_residual);
-      }
-      if (stats.primal_residual <= eps_primal && stats.dual_residual <= eps_dual) {
-        inner_converged = true;
-        break;
-      }
-
-      // Adaptive penalty (residual balancing, extension per Section V).
-      // Restricted to the first outer iteration: rescaling rho later
-      // invalidates the equilibrium the accumulated outer multiplier lz
-      // encodes and measurably degrades the final consensus accuracy.
-      if (params_.adaptive_rho && outer == 0 && inner > 0 &&
-          inner % params_.adaptive_rho_interval == 0) {
-        double factor = 0.0;
-        if (stats.primal_residual > params_.adaptive_rho_mu * stats.dual_residual) {
-          factor = params_.adaptive_rho_tau;
-        } else if (stats.dual_residual > params_.adaptive_rho_mu * stats.primal_residual) {
-          factor = 1.0 / params_.adaptive_rho_tau;
-        }
-        if (factor != 0.0) {
-          const double proposed = rho_scale_ * factor;
-          if (proposed <= params_.adaptive_rho_max_scale &&
-              proposed >= 1.0 / params_.adaptive_rho_max_scale) {
-            rho_scale_ = proposed;
-            auto rho = model_.rho.span();
-            dev_->launch(model_.num_pairs, [=](int k) { rho[k] *= factor; });
-            ++stats.rho_rescales;
-          }
-        }
-      }
-    }
-
-    if (!two_level) {
-      stats.converged = inner_converged;
-      break;
-    }
-
-    stats.z_norm = collect_max(partial_z, lanes);
-    if (record_history_) stats.z_history.push_back(stats.z_norm);
+  for (;;) {
+    update_generators(*dev_, model_, state_);
+    update_branches(*dev_, model_, params_, state_, &stats.branch);
+    update_buses(*dev_, model_, state_, partial_dual);
+    update_zy_fused(*dev_, model_, state_, params_.two_level, partial_primal, partial_z);
+    const auto next = control.end_inner(collect(partial_primal), collect(partial_dual));
+    if (next == LoopControl::Next::kInner) continue;
+    if (next == LoopControl::Next::kRetire) break;
+    const bool more = control.end_outer(collect(partial_z));
     update_outer_multiplier(*dev_, model_, state_, params_.lambda_bound);
-    log::debug("ADMM outer ", outer + 1, ": |z|=", stats.z_norm,
-               " primal=", stats.primal_residual, " dual=", stats.dual_residual,
-               " beta=", state_.beta, " inner_total=", stats.inner_iterations);
-    // Converged only when the *final* tolerances hold (the scheduled inner
-    // tolerance may have been looser during early outer iterations).
-    if (stats.z_norm <= params_.outer_tolerance &&
-        stats.primal_residual <= params_.primal_tolerance &&
-        stats.dual_residual <= params_.dual_tolerance) {
-      stats.converged = true;
-      break;
-    }
-    if (stats.z_norm > params_.z_shrink * prev_znorm) {
-      state_.beta = std::min(state_.beta * params_.beta_factor, params_.beta_max);
-    }
-    prev_znorm = stats.z_norm;
+    state_.beta = control.beta();
+    if (!more) break;
   }
 
   stats.solve_seconds = timer.seconds();
-  return stats;
+  return std::move(stats);
 }
 
 grid::OpfSolution AdmmSolver::solution() const {
@@ -274,9 +191,10 @@ grid::OpfSolution AdmmSolver::solution() const {
 }
 
 void AdmmSolver::set_loads(std::span<const double> pd, std::span<const double> qd) {
-  require(static_cast<int>(pd.size()) == net_.num_buses() &&
-              static_cast<int>(qd.size()) == net_.num_buses(),
-          "AdmmSolver::set_loads: size mismatch");
+  require_valid(static_cast<int>(pd.size()) == net_.num_buses() &&
+                    static_cast<int>(qd.size()) == net_.num_buses(),
+                "AdmmSolver::set_loads: size mismatch");
+  require_valid(all_finite(pd) && all_finite(qd), "AdmmSolver::set_loads: non-finite load");
   model_.bus_pd.upload(pd);
   model_.bus_qd.upload(qd);
   for (int i = 0; i < net_.num_buses(); ++i) {
@@ -287,9 +205,11 @@ void AdmmSolver::set_loads(std::span<const double> pd, std::span<const double> q
 
 void AdmmSolver::set_generator_pg_bounds(std::span<const double> pmin,
                                          std::span<const double> pmax) {
-  require(static_cast<int>(pmin.size()) == net_.num_generators() &&
-              static_cast<int>(pmax.size()) == net_.num_generators(),
-          "AdmmSolver::set_generator_pg_bounds: size mismatch");
+  require_valid(static_cast<int>(pmin.size()) == net_.num_generators() &&
+                    static_cast<int>(pmax.size()) == net_.num_generators(),
+                "AdmmSolver::set_generator_pg_bounds: size mismatch");
+  require_valid(all_finite(pmin) && all_finite(pmax),
+                "AdmmSolver::set_generator_pg_bounds: non-finite bound");
   model_.gen_pmin.upload(pmin);
   model_.gen_pmax.upload(pmax);
 }

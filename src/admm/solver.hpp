@@ -16,6 +16,7 @@
 
 #include "admm/branch_kernel.hpp"
 #include "admm/component_model.hpp"
+#include "admm/loop_control.hpp"
 #include "admm/params.hpp"
 #include "admm/state.hpp"
 #include "admm/warm_start.hpp"
@@ -24,22 +25,6 @@
 #include "grid/solution.hpp"
 
 namespace gridadmm::admm {
-
-struct AdmmStats {
-  bool converged = false;
-  int outer_iterations = 0;
-  int inner_iterations = 0;  ///< cumulative over all outer iterations
-  double primal_residual = 0.0;
-  double dual_residual = 0.0;
-  double z_norm = 0.0;
-  double solve_seconds = 0.0;
-  int rho_rescales = 0;      ///< adaptive-penalty rescaling events
-  BranchUpdateStats branch;  ///< cumulative branch-solve work
-  // Per-inner-iteration traces (filled when params.record_history).
-  std::vector<double> primal_history;
-  std::vector<double> dual_history;
-  std::vector<double> z_history;  ///< one entry per outer iteration
-};
 
 /// The paper Section IV-B cold-start iterate as host arrays: dispatch and
 /// voltage magnitudes at the midpoint of their bounds, flat angles, branch
@@ -57,7 +42,8 @@ ColdStartTemplate make_cold_start(const grid::Network& net, const ComponentModel
 
 class AdmmSolver {
  public:
-  /// Copies the network; `dev` defaults to the process-wide device.
+  /// Copies the network; `dev` defaults to the process-wide device. Throws
+  /// ValidationError unless both iteration budgets are positive.
   AdmmSolver(grid::Network net, AdmmParams params, device::Device* dev = nullptr);
 
   /// Paper Section IV-B initialization: dispatch and voltage magnitudes at
@@ -77,20 +63,22 @@ class AdmmSolver {
   /// reference bus is zero).
   [[nodiscard]] grid::OpfSolution solution() const;
 
-  /// Snapshots the full iterate (primal values, every multiplier, penalty
-  /// state) as portable host arrays — the unit of exchange for the warm-start
-  /// cache and cross-solver seeding.
+  /// Snapshots the full iterate (primal values, every multiplier, outer
+  /// penalty) as portable host arrays — the unit of exchange for the
+  /// warm-start cache and cross-solver seeding.
   [[nodiscard]] WarmStartIterate export_iterate() const;
 
   /// Restores a previously exported iterate (dimensions must match this
   /// solver's model; throws ValidationError otherwise) and applies
-  /// prepare_warm_start semantics: the iterate's penalties are kept, beta is
-  /// only raised to at least beta0.
+  /// prepare_warm_start semantics: the iterate's beta is kept, only raised
+  /// to at least beta0. The per-pair penalties rho stay this solver's own.
   void import_iterate(const WarmStartIterate& it);
 
-  /// Updates loads (per-unit, one entry per bus); used by tracking.
+  /// Updates loads (per-unit, one entry per bus); used by tracking. Throws
+  /// ValidationError on a size mismatch or a non-finite entry.
   void set_loads(std::span<const double> pd, std::span<const double> qd);
   /// Updates real-power dispatch bounds (per-unit); used for ramp limits.
+  /// Throws ValidationError on a size mismatch or a non-finite entry.
   void set_generator_pg_bounds(std::span<const double> pmin, std::span<const double> pmax);
 
   [[nodiscard]] const grid::Network& network() const { return net_; }
@@ -98,10 +86,6 @@ class AdmmSolver {
   AdmmParams& params() { return params_; }
   [[nodiscard]] const ComponentModel& model() const { return model_; }
   [[nodiscard]] const AdmmState& state() const { return state_; }
-  /// Cumulative adaptive-penalty scaling applied so far (1.0 when adaptive
-  /// rho never fired); warm starts that copy the iterate must inherit it so
-  /// the cumulative scaling bound keeps holding.
-  [[nodiscard]] double rho_scale() const { return rho_scale_; }
   [[nodiscard]] bool record_history() const { return record_history_; }
   void set_record_history(bool record) { record_history_ = record; }
 
@@ -112,7 +96,6 @@ class AdmmSolver {
   ComponentModel model_;
   AdmmState state_;
   bool record_history_ = false;
-  double rho_scale_ = 1.0;  ///< cumulative adaptive-penalty scaling
 };
 
 }  // namespace gridadmm::admm

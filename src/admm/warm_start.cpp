@@ -15,7 +15,7 @@ bool WarmStartIterate::matches(const ComponentModel& model) const {
   const auto ng = static_cast<std::size_t>(model.num_gens);
   const auto nl = static_cast<std::size_t>(model.num_branches);
   return u.size() == np && v.size() == np && z.size() == np && y.size() == np &&
-         lz.size() == np && rho.size() == np && bus_w.size() == nb && bus_theta.size() == nb &&
+         lz.size() == np && bus_w.size() == nb && bus_theta.size() == nb &&
          gen_pg.size() == ng && gen_qg.size() == ng && branch_x.size() == 4 * nl &&
          branch_s.size() == 2 * nl && branch_lambda.size() == 2 * nl;
 }

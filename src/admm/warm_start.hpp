@@ -30,12 +30,11 @@ struct WarmStartIterate {
   std::vector<double> branch_x;                ///< 4 * num_branches
   std::vector<double> branch_s;                ///< 2 * num_branches
   std::vector<double> branch_lambda;           ///< 2 * num_branches
-  // Penalty state the iterate was produced under. Importers must keep it:
-  // the multipliers were accumulated against these penalties, and re-basing
-  // them measurably slows the warm start (see AdmmSolver::prepare_warm_start).
-  std::vector<double> rho;                     ///< num_pairs
+  // Outer penalty the iterate was produced under. Importers keep it: the
+  // outer multiplier lz was accumulated against it, and re-basing it
+  // measurably slows the warm start (see AdmmSolver::prepare_warm_start).
+  // The per-pair penalties are model data and are not carried.
   double beta = 0.0;                           ///< outer penalty on z = 0
-  double rho_scale = 1.0;                      ///< cumulative adaptive scaling
 
   /// True when every array length matches `model`'s dimensions.
   [[nodiscard]] bool matches(const ComponentModel& model) const;

@@ -1,34 +1,10 @@
 #include "admm/zy_kernel.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "admm/kernels_core.hpp"
 
 namespace gridadmm::admm {
-
-void update_z(device::Device& dev, const ComponentModel& model, AdmmState& state) {
-  const auto rho = model.rho.span();
-  const auto u = state.u.span();
-  const auto v = state.v.span();
-  const auto y = state.y.span();
-  const auto lz = state.lz.span();
-  auto z = state.z.span();
-  const double beta = state.beta;
-  dev.launch(model.num_pairs, [=](int k) {
-    const double r = u[k] - v[k];
-    z[k] = -(lz[k] + y[k] + rho[k] * r) / (beta + rho[k]);
-  });
-}
-
-void update_y(device::Device& dev, const ComponentModel& model, AdmmState& state) {
-  const auto rho = model.rho.span();
-  const auto u = state.u.span();
-  const auto v = state.v.span();
-  const auto z = state.z.span();
-  auto y = state.y.span();
-  dev.launch(model.num_pairs, [=](int k) { y[k] += rho[k] * (u[k] - v[k] + z[k]); });
-}
 
 void update_zy_fused(device::Device& dev, const ComponentModel& model, AdmmState& state,
                      bool two_level, std::span<double> partial_primal,

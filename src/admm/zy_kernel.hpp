@@ -2,10 +2,10 @@
 //
 // z update: per pair, min_z  lambda z + beta/2 z^2 + y (r + z) + rho/2 (r+z)^2
 // with r = u - v has the closed form z = -(lambda + y + rho r)/(beta + rho).
-// y update: y += rho (u - v + z). The fused kernel performs both per pair
-// (one device block each) and accumulates the primal residual
-// ||u - v + z||_inf and ||z||_inf as per-lane partial maxima so the solver
-// loop needs no separate reduction pass.
+// y update: y += rho (u - v + z), with z already updated. One fused kernel
+// performs both per pair (one device block each) and accumulates the primal
+// residual ||u - v + z||_inf and ||z||_inf as per-lane partial maxima so the
+// solver loop needs no separate reduction pass.
 #pragma once
 
 #include <span>
@@ -14,9 +14,6 @@
 #include "device/device.hpp"
 
 namespace gridadmm::admm {
-
-void update_z(device::Device& dev, const ComponentModel& model, AdmmState& state);
-void update_y(device::Device& dev, const ComponentModel& model, AdmmState& state);
 
 /// Fused z+y update. When `two_level` is false, z stays frozen (one-level
 /// ADMM). `partial_primal` / `partial_z` must hold one slot per worker lane

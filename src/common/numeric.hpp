@@ -3,13 +3,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
+#include <span>
 
 namespace gridadmm {
 
 /// True when every entry is finite (no NaN/inf) — the input-validation
 /// gate for caller-supplied load vectors.
-inline bool all_finite(const std::vector<double>& values) {
+inline bool all_finite(std::span<const double> values) {
   return std::all_of(values.begin(), values.end(), [](double v) { return std::isfinite(v); });
 }
 

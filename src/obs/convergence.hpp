@@ -22,7 +22,6 @@ struct ConvergenceSample {
   int outer_iteration = 0;   ///< 1-based outer (augmented-Lagrangian) index
   double primal_residual = 0.0;
   double dual_residual = 0.0;
-  double rho_scale = 1.0;    ///< cumulative adaptive-penalty scaling
   double beta = 0.0;         ///< outer penalty at sample time
   std::uint64_t tron_iterations = 0;  ///< cumulative branch TRON iterations
 };

@@ -103,21 +103,6 @@ void batch_update_outer_multiplier(device::Device& dev, const ModelView& m,
   });
 }
 
-void batch_scale_rho(device::Device& dev, const admm::ComponentModel& model,
-                     admm::BatchAdmmState& state, std::span<const int> slots,
-                     std::span<const double> factors) {
-  // Capture scalars only: naming `model` inside a [=] lambda would copy
-  // the whole ComponentModel (every DeviceBuffer in it) into the closure.
-  const int num_pairs = model.num_pairs;
-  auto rho = state.rho.span();
-  dev.launch(static_cast<int>(slots.size()) * num_pairs, [=](int b) {
-    const int j = b / num_pairs;
-    const int s = slots[static_cast<std::size_t>(j)];
-    rho[static_cast<std::size_t>(s) * num_pairs + b % num_pairs] *=
-        factors[static_cast<std::size_t>(j)];
-  });
-}
-
 void batch_chain_state(device::Device& dev, const admm::ComponentModel& model,
                        const admm::BatchAdmmState& src_state, admm::BatchAdmmState& dst_state,
                        std::span<const ChainLink> links) {
@@ -136,7 +121,6 @@ void batch_chain_state(device::Device& dev, const admm::ComponentModel& model,
   const auto sz = src_state.z.span();
   const auto sy = src_state.y.span();
   const auto slz = src_state.lz.span();
-  const auto srho = src_state.rho.span();
   const auto sw = src_state.bus_w.span();
   const auto stheta = src_state.bus_theta.span();
   const auto spg = src_state.gen_pg.span();
@@ -149,7 +133,6 @@ void batch_chain_state(device::Device& dev, const admm::ComponentModel& model,
   auto dz = dst_state.z.span();
   auto dy = dst_state.y.span();
   auto dlz = dst_state.lz.span();
-  auto drho = dst_state.rho.span();
   auto dw = dst_state.bus_w.span();
   auto dtheta = dst_state.bus_theta.span();
   auto dpg = dst_state.gen_pg.span();
@@ -171,7 +154,6 @@ void batch_chain_state(device::Device& dev, const admm::ComponentModel& model,
     copy(sz, dz, npz);
     copy(sy, dy, npz);
     copy(slz, dlz, npz);
-    copy(srho, drho, npz);
     copy(sw, dw, nb);
     copy(stheta, dtheta, nb);
     copy(spg, dpg, ng);

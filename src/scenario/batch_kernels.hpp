@@ -73,13 +73,8 @@ void batch_update_outer_multiplier(device::Device& dev, const admm::ModelView& m
                                    std::span<const admm::ScenarioView> views,
                                    std::span<const int> slots, double lambda_bound);
 
-/// Adaptive-penalty rescale: scenario slots[j]'s rho slice *= factors[j].
-void batch_scale_rho(device::Device& dev, const admm::ComponentModel& model,
-                     admm::BatchAdmmState& state, std::span<const int> slots,
-                     std::span<const double> factors);
-
 /// Warm-start chaining: dst's iterate (u, v, z, y, lz, bus, gen, branch
-/// arrays) and rho slice are copied from src, entirely on device. `src` is
+/// arrays) is copied from src, entirely on device. `src` is
 /// a slot of `src_state` and `dst` a slot of `dst_state`; passing the same
 /// state for both is the classic in-place chain, distinct states are the
 /// ping-pong wave copy (previous wave's buffer -> current wave's buffer).

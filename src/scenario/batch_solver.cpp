@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 #include "common/timer.hpp"
 #include "obs/trace.hpp"
 #include "scenario/batch_kernels.hpp"
@@ -17,22 +15,6 @@
 namespace gridadmm::scenario {
 
 namespace {
-
-/// Per-slot max over the per-lane partial rows (exact: max is order-free).
-/// NaN-propagating: `std::max(0.0, NaN)` keeps the first argument, so a
-/// slot whose iterate went non-finite would otherwise report residual 0 and
-/// "converge" on garbage. Returning the NaN lets the solve loop abort the
-/// launch instead (DESIGN.md §12 poison isolation).
-double collect_slot_max(std::span<const double> partial, int j, int row_stride, int lanes) {
-  double result = 0.0;
-  for (int lane = 0; lane < lanes; ++lane) {
-    const double v =
-        partial[static_cast<std::size_t>(lane) * row_stride + static_cast<std::size_t>(j)];
-    if (!std::isfinite(v)) return v;
-    result = std::max(result, v);
-  }
-  return result;
-}
 
 /// Extracts slot `s`'s solution from host copies of the batch's bus and
 /// generator arrays (slot s is the slice starting at s * extent).
@@ -105,15 +87,9 @@ BatchAdmmSolver::BatchAdmmSolver(const ScenarioSet& set, admm::AdmmParams params
       waves_(set.waves()),
       model_(admm::build_component_model(net_, params_)),
       mview_(admm::make_model_view(model_)),
-      cold_(admm::make_cold_start(net_, model_)),
-      rho0_(model_.rho.to_host()) {
+      cold_(admm::make_cold_start(net_, model_)) {
   require(!scenarios_.empty(), "BatchAdmmSolver: scenario set is empty");
-  eff_.reserve(scenarios_.size());
-  for (const auto& sc : scenarios_) {
-    const admm::AdmmParams p = effective_params(params_, sc.controls);
-    eff_.push_back({p.primal_tolerance, p.dual_tolerance, p.outer_tolerance,
-                    p.max_inner_iterations, p.max_outer_iterations});
-  }
+  admm::require_positive_budgets(params_, "BatchAdmmSolver");
 }
 
 BatchAdmmSolver::BatchAdmmSolver(const ScenarioSet& set, admm::AdmmParams params,
@@ -159,31 +135,13 @@ void BatchAdmmSolver::ensure_storage(bool ping_pong) {
 }
 
 void BatchAdmmSolver::set_beta(int s, double value) {
-  // Two live copies: beta_ is the host truth (control flow, exports), the
-  // scenario's current view feeds the kernels. BatchAdmmState::beta is NOT
-  // kept in sync — it only seeds views at construction, before any solve.
+  // Two live copies: beta_ is the host truth (controller seed, chain
+  // inheritance, exports), the scenario's current view feeds the kernels.
   beta_[static_cast<std::size_t>(s)] = value;
   Shard& shard = shards_[static_cast<std::size_t>(plan_.shard_of[static_cast<std::size_t>(s)])];
   const int buf = buffer_of(s);
   const auto slot = static_cast<std::size_t>(plan_.slot_of[static_cast<std::size_t>(s)]);
   shard.views[static_cast<std::size_t>(buf)][slot].beta = value;
-}
-
-void BatchAdmmSolver::schedule_inner_tolerance(int s, Control& ctrl) const {
-  // Inexact inner solves: proportional to the outer infeasibility, never
-  // looser than the initial tolerance, never tighter than the final one
-  // (identical to AdmmSolver::solve; final tolerances are per-scenario).
-  const auto& eff = eff_[static_cast<std::size_t>(s)];
-  const double scheduled = std::isfinite(ctrl.prev_znorm)
-                               ? params_.inner_tolerance_factor * ctrl.prev_znorm
-                               : params_.inner_tolerance_initial;
-  // Same bound guard as AdmmSolver::solve: a per-scenario final tolerance
-  // looser than the initial one must not invert the clamp (UB when lo > hi).
-  ctrl.eps_primal =
-      std::clamp(scheduled, eff.primal_tolerance,
-                 std::max(params_.inner_tolerance_initial, eff.primal_tolerance));
-  ctrl.eps_dual = std::clamp(scheduled, eff.dual_tolerance,
-                             std::max(params_.inner_tolerance_initial, eff.dual_tolerance));
 }
 
 admm::WarmStartIterate BatchAdmmSolver::solve_base(ScenarioReport& report) {
@@ -213,11 +171,11 @@ void BatchAdmmSolver::stage_buffer(Shard& shard, int buf, std::span<const int> g
   };
 
   // Chained slots need no iterate staging: the wave loop's on-device chain
-  // copy overwrites every iterate array (and rho) before a kernel reads
-  // them, and their beta is set by the chain inheritance. When the whole
-  // buffer is chained — every ping-pong wave after the first — the 13
-  // iterate uploads are skipped entirely; only the per-scenario problem
-  // data (loads, pg bounds, outage masks) is staged.
+  // copy overwrites every iterate array before a kernel reads them, and
+  // their beta is set by the chain inheritance. When the whole buffer is
+  // chained — every ping-pong wave after the first — the 12 iterate uploads
+  // are skipped entirely; only the per-scenario problem data (loads, pg
+  // bounds, outage masks) is staged.
   bool stage_iterates = false;
   for (const int s : globals) {
     const bool seeded = !options.initial_iterates.empty() &&
@@ -236,7 +194,6 @@ void BatchAdmmSolver::stage_buffer(Shard& shard, int buf, std::span<const int> g
   std::vector<double> hpg(iterate_cells * ng, 0.0), hqg(iterate_cells * ng, 0.0);
   std::vector<double> hbx(iterate_cells * 4 * nl, 0.0), hbs(iterate_cells * 2 * nl, 0.0),
       hblam(iterate_cells * 2 * nl, 0.0);
-  std::vector<double> hrho(iterate_cells * np, 0.0);
   std::vector<double> hpd(C * nb, 0.0), hqd(C * nb, 0.0);
   std::vector<double> hpmin(C * ng, 0.0), hpmax(C * ng, 0.0);
   std::vector<unsigned char> hactive(C * nl, 1);
@@ -253,13 +210,13 @@ void BatchAdmmSolver::stage_buffer(Shard& shard, int buf, std::span<const int> g
     // or an externally-supplied iterate overrides the full iterate through
     // the same copy path (one WarmStartIterate shape for both, so the base
     // warm start cannot diverge from the cache warm start). Either keeps
-    // prepare_warm_start semantics: escalated beta and the adaptive
-    // scaling baked into the copied rho survive the warm start.
+    // prepare_warm_start semantics: the escalated beta survives the warm
+    // start.
     const admm::WarmStartIterate* seed = iterate;
     if (seed == nullptr && base != nullptr && sc.chain_from < 0) seed = base;
     if (sc.chain_from >= 0 && iterate == nullptr) {
-      // Chained: iterate arrives via the on-device chain copy; beta and
-      // rho_scale via chain inheritance in the wave loop.
+      // Chained: iterate arrives via the on-device chain copy; beta via
+      // chain inheritance in the wave loop.
     } else if (seed != nullptr) {
       scatter(seed->u, hu, slot);
       scatter(seed->v, hv, slot);
@@ -273,9 +230,7 @@ void BatchAdmmSolver::stage_buffer(Shard& shard, int buf, std::span<const int> g
       scatter(seed->branch_x, hbx, slot);
       scatter(seed->branch_s, hbs, slot);
       scatter(seed->branch_lambda, hblam, slot);
-      scatter(seed->rho, hrho, slot);
       set_beta(s, std::max(seed->beta, params_.beta0));
-      rho_scale_[static_cast<std::size_t>(s)] = seed->rho_scale;
     } else {
       // One cold-start template serves every slot: it depends only on
       // bounds and topology, not on loads. Shared with
@@ -290,7 +245,6 @@ void BatchAdmmSolver::stage_buffer(Shard& shard, int buf, std::span<const int> g
       scatter(cold_.qg, hqg, slot);
       scatter(cold_.branch_x, hbx, slot);
       scatter(cold_.branch_s, hbs, slot);
-      scatter(rho0_, hrho, slot);
       set_beta(s, params_.beta0);
     }
 
@@ -333,7 +287,6 @@ void BatchAdmmSolver::stage_buffer(Shard& shard, int buf, std::span<const int> g
     state.gen_qg.upload(hqg);
     state.branch_x.upload(hbx);
     state.branch_s.upload(hbs);
-    state.rho.upload(hrho);
   }
   state.pd.upload(hpd);
   state.qd.upload(hqd);
@@ -373,10 +326,8 @@ void BatchAdmmSolver::run_shard_wave(int shard_id, int wave_index,
     for (const int s : wave) {
       const auto& sc = scenarios_[static_cast<std::size_t>(s)];
       if (sc.chain_from < 0) continue;
-      // prepare_warm_start semantics plus inherited adaptive scaling.
+      // prepare_warm_start semantics.
       set_beta(s, std::max(beta_[static_cast<std::size_t>(sc.chain_from)], params_.beta0));
-      rho_scale_[static_cast<std::size_t>(s)] =
-          rho_scale_[static_cast<std::size_t>(sc.chain_from)];
     }
   }
   if (!ramps.empty()) batch_apply_ramp(*shard.dev, model_, src_state, dst_state, ramps);
@@ -385,18 +336,21 @@ void BatchAdmmSolver::run_shard_wave(int shard_id, int wave_index,
   run_fused(shard, buf, wave, options);
 
   const double wave_seconds = wave_timer.seconds();
-  for (const int s : wave) stats_[static_cast<std::size_t>(s)].solve_seconds = wave_seconds;
+  for (const int s : wave) {
+    ctrl_[static_cast<std::size_t>(s)].stats().solve_seconds = wave_seconds;
+  }
 }
 
 void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave,
                                 const BatchSolveOptions& options) {
   std::vector<int> active(wave.begin(), wave.end());
   for (const int s : active) {
-    ctrl_[static_cast<std::size_t>(s)] = Control{};
-    ctrl_[static_cast<std::size_t>(s)].prev_znorm = std::numeric_limits<double>::infinity();
-    schedule_inner_tolerance(s, ctrl_[static_cast<std::size_t>(s)]);
-    stats_[static_cast<std::size_t>(s)] = admm::AdmmStats{};
-    stats_[static_cast<std::size_t>(s)].outer_iterations = 1;
+    // Termination knobs resolve against the batch-wide params, exactly as
+    // solve_sequential resolves them.
+    const auto& sc = scenarios_[static_cast<std::size_t>(s)];
+    ctrl_[static_cast<std::size_t>(s)] =
+        admm::LoopControl(effective_params(params_, sc.controls),
+                          beta_[static_cast<std::size_t>(s)], options.record_history, sc.name);
   }
 
   const int lanes = shard.dev->workers();
@@ -404,9 +358,7 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
   // Per-step scratch lives outside the loop so the hot path performs no
   // allocations once capacities are reached.
   device::AlignedVector<double> partial_primal, partial_dual, partial_z;
-  std::vector<int> next_active, slots, outer_slots, rho_slots;
-  std::vector<double> rho_factors;
-  std::vector<std::pair<int, double>> beta_updates;
+  std::vector<int> next_active, slots, outer_slots, outer_scenarios;
   // Phase attribution and the trace come from ONE clock read per boundary:
   // take(name) returns the seconds accumulated into PhaseBreakdown and
   // emits the span over the identical interval, so the two cannot drift.
@@ -417,14 +369,13 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
   // Convergence sampling (observation-only; see BatchSolveOptions).
   const int sample_interval = options.convergence_sample_interval;
   const auto sample = [this](int s) {
-    const auto& stats = stats_[static_cast<std::size_t>(s)];
+    const auto& stats = ctrl_[static_cast<std::size_t>(s)].stats();
     auto& trajectory = traj_[static_cast<std::size_t>(s)];
     obs::ConvergenceSample point;
     point.inner_iteration = stats.inner_iterations;
     point.outer_iteration = stats.outer_iterations;
     point.primal_residual = stats.primal_residual;
     point.dual_residual = stats.dual_residual;
-    point.rho_scale = rho_scale_[static_cast<std::size_t>(s)];
     point.beta = beta_[static_cast<std::size_t>(s)];
     point.tron_iterations = tron_accum_[static_cast<std::size_t>(s)];
     trajectory.samples.push_back(point);
@@ -465,34 +416,16 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
 
     next_active.clear();
     outer_slots.clear();
-    rho_slots.clear();
-    rho_factors.clear();
-    beta_updates.clear();
-
+    outer_scenarios.clear();
     for (int j = 0; j < n; ++j) {
       const int s = active[static_cast<std::size_t>(j)];
-      auto& ctrl = ctrl_[static_cast<std::size_t>(s)];
-      auto& stats = stats_[static_cast<std::size_t>(s)];
-      const auto& eff = eff_[static_cast<std::size_t>(s)];
-      ++stats.inner_iterations;
-      const double primal = collect_slot_max(partial_primal, j, row, lanes);
-      const double dual = collect_slot_max(partial_dual, j, row, lanes);
-      if (!std::isfinite(primal) || !std::isfinite(dual)) {
-        // Numerical breakdown in the fused launch. The shared reduction
-        // buffers hold non-finite values, so no slot's telemetry can be
-        // trusted — abort the whole batch like a device-side trap would;
-        // the serving layer isolates the poison scenario by bisection.
-        throw NumericalError("BatchAdmmSolver: non-finite residual in fused batch (scenario '" +
-                             scenarios_[static_cast<std::size_t>(s)].name +
-                             "', inner iteration " + std::to_string(stats.inner_iterations) +
-                             ")");
-      }
-      stats.primal_residual = primal;
-      stats.dual_residual = dual;
-      if (options.record_history) {
-        stats.primal_history.push_back(primal);
-        stats.dual_history.push_back(dual);
-      }
+      auto& control = ctrl_[static_cast<std::size_t>(s)];
+      // A non-finite residual throws here and aborts the whole batch like a
+      // device-side trap: the shared reduction rows can no longer be
+      // trusted, and the serving layer isolates the poison scenario by
+      // bisection (DESIGN.md §12).
+      const auto next = control.end_inner(admm::collect_slot_max(partial_primal, j, row, lanes),
+                                          admm::collect_slot_max(partial_dual, j, row, lanes));
       if (sample_interval > 0) {
         // Per-slot TRON attribution: sum this step's lane partials (sums
         // are order-free, so the attribution is deterministic).
@@ -502,95 +435,28 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
                                           static_cast<std::size_t>(j)];
         }
         tron_accum_[static_cast<std::size_t>(s)] += step_tron;
-        if (stats.inner_iterations % sample_interval == 0) sample(s);
+        if (control.stats().inner_iterations % sample_interval == 0) sample(s);
       }
-
-      bool inner_done = false;
-      bool inner_converged = false;
-      if (primal <= ctrl.eps_primal && dual <= ctrl.eps_dual) {
-        inner_done = true;
-        inner_converged = true;
-      } else {
-        // Adaptive penalty (residual balancing), first outer iteration only
-        // — identical schedule and budget to AdmmSolver::solve.
-        if (params_.adaptive_rho && ctrl.outer == 0 && ctrl.inner > 0 &&
-            ctrl.inner % params_.adaptive_rho_interval == 0) {
-          double factor = 0.0;
-          if (primal > params_.adaptive_rho_mu * dual) {
-            factor = params_.adaptive_rho_tau;
-          } else if (dual > params_.adaptive_rho_mu * primal) {
-            factor = 1.0 / params_.adaptive_rho_tau;
-          }
-          if (factor != 0.0) {
-            const double proposed = rho_scale_[static_cast<std::size_t>(s)] * factor;
-            if (proposed <= params_.adaptive_rho_max_scale &&
-                proposed >= 1.0 / params_.adaptive_rho_max_scale) {
-              rho_scale_[static_cast<std::size_t>(s)] = proposed;
-              rho_slots.push_back(slots[static_cast<std::size_t>(j)]);
-              rho_factors.push_back(factor);
-              ++stats.rho_rescales;
-            }
-          }
-        }
-        if (ctrl.inner + 1 >= eff.max_inner_iterations) inner_done = true;
-      }
-
-      if (!inner_done) {
-        ++ctrl.inner;
+      if (next == admm::LoopControl::Next::kInner) {
         next_active.push_back(s);
-        continue;
+      } else if (next == admm::LoopControl::Next::kOuter) {
+        outer_slots.push_back(slots[static_cast<std::size_t>(j)]);
+        outer_scenarios.push_back(s);
+        if (control.end_outer(admm::collect_slot_max(partial_z, j, row, lanes))) {
+          next_active.push_back(s);
+        }
       }
-
-      if (!params_.two_level) {
-        stats.converged = inner_converged;
-        continue;
-      }
-
-      // Outer (augmented Lagrangian) transition for this scenario.
-      const double z_norm = collect_slot_max(partial_z, j, row, lanes);
-      stats.z_norm = z_norm;
-      if (options.record_history) stats.z_history.push_back(z_norm);
-      outer_slots.push_back(slots[static_cast<std::size_t>(j)]);  // pre-escalation beta
-      log::debug("batch scenario ", s, " outer ", ctrl.outer + 1, ": |z|=", z_norm,
-                 " primal=", primal, " dual=", dual, " beta=", beta_[static_cast<std::size_t>(s)],
-                 " inner_total=", stats.inner_iterations);
-      if (z_norm <= eff.outer_tolerance && primal <= eff.primal_tolerance &&
-          dual <= eff.dual_tolerance) {
-        stats.converged = true;
-        continue;
-      }
-      // Beta escalation happens on every non-converged outer iteration —
-      // including the last one before the budget exhausts — exactly as in
-      // the sequential loop, so chained children inherit the same beta.
-      if (z_norm > params_.z_shrink * ctrl.prev_znorm) {
-        beta_updates.emplace_back(
-            s, std::min(beta_[static_cast<std::size_t>(s)] * params_.beta_factor,
-                        params_.beta_max));
-      }
-      ctrl.prev_znorm = z_norm;
-      if (ctrl.outer + 1 >= eff.max_outer_iterations) {
-        continue;
-      }
-      ++ctrl.outer;
-      ctrl.inner = 0;
-      stats.outer_iterations = ctrl.outer + 1;
-      schedule_inner_tolerance(s, ctrl);
-      next_active.push_back(s);
     }
-
     take_phase(shard.phases.residual_seconds, "fused.residual");
 
-    if (!rho_slots.empty()) {
-      batch_scale_rho(*shard.dev, model_, shard.states[static_cast<std::size_t>(buf)], rho_slots,
-                      rho_factors);
-    }
+    // Every ended outer iteration, converged or not, gets the multiplier
+    // update at the beta it ran with; the escalated beta applies after it,
+    // as in AdmmSolver::solve.
     if (!outer_slots.empty()) {
       batch_update_outer_multiplier(*shard.dev, mview_, views, outer_slots, params_.lambda_bound);
     }
     take_phase(shard.phases.outer_seconds, "fused.outer");
-    // Beta escalation applies after the multiplier update, exactly as in
-    // the sequential outer loop.
-    for (const auto& [s, beta] : beta_updates) set_beta(s, beta);
+    for (const int s : outer_scenarios) set_beta(s, ctrl_[static_cast<std::size_t>(s)].beta());
 
     active.swap(next_active);
   }
@@ -599,7 +465,7 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
     // Retirement capture: every scenario's trajectory ends with its final
     // state even when the interval does not divide its iteration count.
     for (const int s : wave) {
-      const auto& stats = stats_[static_cast<std::size_t>(s)];
+      const auto& stats = ctrl_[static_cast<std::size_t>(s)].stats();
       auto& trajectory = traj_[static_cast<std::size_t>(s)];
       trajectory.scenario = s;
       trajectory.converged = stats.converged;
@@ -628,7 +494,7 @@ void BatchAdmmSolver::evaluate_shard(int shard_id, int buf, std::span<const int>
     auto sol = slice_solution(net_, w, theta, pg, qg, slot);
     apply_scenario_loads(eval_net, sc);
     report.records[static_cast<std::size_t>(s)] =
-        make_record(s, sc, stats_[static_cast<std::size_t>(s)],
+        make_record(s, sc, ctrl_[static_cast<std::size_t>(s)].stats(),
                     scenario_quality(eval_net, sc, sol));
     if (capture) pp_solutions_[static_cast<std::size_t>(s)] = std::move(sol);
   }
@@ -643,10 +509,8 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
                                   "shards", static_cast<std::uint64_t>(num_shards()));
   ensure_storage(options.ping_pong);
   report.num_shards = num_shards();
-  ctrl_.assign(static_cast<std::size_t>(S), Control{});
+  ctrl_.assign(static_cast<std::size_t>(S), admm::LoopControl{});
   beta_.assign(static_cast<std::size_t>(S), 0.0);
-  rho_scale_.assign(static_cast<std::size_t>(S), 1.0);
-  stats_.assign(static_cast<std::size_t>(S), admm::AdmmStats{});
   report.records.assign(static_cast<std::size_t>(S), ScenarioRecord{});
   for (auto& shard : shards_) {
     shard.branch_stats = admm::BranchUpdateStats{};
@@ -785,7 +649,8 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
                      /*capture=*/false);
     }
   }
-  report.stats = stats_;
+  report.stats.reserve(static_cast<std::size_t>(S));
+  for (const auto& control : ctrl_) report.stats.push_back(control.stats());
   if (options.convergence_sample_interval > 0) report.convergence = traj_;
   for (const auto& shard : shards_) {
     report.branch += shard.branch_stats;
@@ -845,7 +710,6 @@ admm::WarmStartIterate BatchAdmmSolver::export_iterate(int s) const {
   it.branch_x.resize(4 * nl);
   it.branch_s.resize(2 * nl);
   it.branch_lambda.resize(2 * nl);
-  it.rho.resize(np);
   state.u.download_slice(slot * np, it.u);
   state.v.download_slice(slot * np, it.v);
   state.z.download_slice(slot * np, it.z);
@@ -858,9 +722,7 @@ admm::WarmStartIterate BatchAdmmSolver::export_iterate(int s) const {
   state.branch_x.download_slice(slot * 4 * nl, it.branch_x);
   state.branch_s.download_slice(slot * 2 * nl, it.branch_s);
   state.branch_lambda.download_slice(slot * 2 * nl, it.branch_lambda);
-  state.rho.download_slice(slot * np, it.rho);
   it.beta = beta_[static_cast<std::size_t>(s)];
-  it.rho_scale = rho_scale_[static_cast<std::size_t>(s)];
   return it;
 }
 

@@ -7,15 +7,15 @@
 // follow their parent so period-to-period chaining stays on one device).
 // Each shard owns a scenario-major BatchAdmmState on its own device and
 // executes the existing fused kernels over its local slots — shards run
-// concurrently, one thread per shard, with no kernel-level changes. All
-// per-scenario control flow (inexact inner tolerance schedule, outer
-// augmented-Lagrangian transitions, beta escalation, adaptive-rho
-// rescaling, convergence tests) is replicated exactly from AdmmSolver and
-// is local to one scenario, so the sharded solve is iterate-for-iterate
-// identical to the single-device fused solve — and both to S independent
-// AdmmSolver runs (asserted by tests/test_batch_admm.cpp for 1/2/4
-// shards). Host-side residual collection happens per (shard, scenario) and
-// merges into one per-scenario report.
+// concurrently, one thread per shard, with no kernel-level changes. Every
+// scenario drives its own admm::LoopControl, the controller AdmmSolver::solve
+// drives (inexact inner tolerance schedule, outer augmented-Lagrangian
+// transitions, beta escalation, convergence tests, non-finite trap). Its
+// decisions are local to one scenario, so the sharded solve is
+// iterate-for-iterate identical to the single-device fused solve — and both
+// to S independent AdmmSolver runs (asserted by tests/test_batch_admm.cpp
+// for 1/2/4 shards). Host-side residual collection happens per (shard,
+// scenario) and merges into one per-scenario report.
 //
 // Each fused step launches the four component kernels over
 // active-scenarios x components blocks per shard (the branch kernel over
@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "admm/batch_state.hpp"
+#include "admm/loop_control.hpp"
 #include "admm/params.hpp"
 #include "admm/solver.hpp"
 #include "admm/warm_start.hpp"
@@ -56,8 +57,8 @@ struct BatchSolveOptions {
   bool record_history = false;
   /// Externally-supplied initial iterates, one slot per scenario (empty =
   /// none; null entries cold start). A non-null entry seeds that scenario's
-  /// full iterate — including rho and beta, with prepare_warm_start
-  /// semantics — before the solve; it overrides warm_start_from_base for
+  /// full iterate — including beta, with prepare_warm_start semantics —
+  /// before the solve; it overrides warm_start_from_base for
   /// that slot. Chained scenarios cannot take one (the chain copy would
   /// overwrite it). This is the serve layer's cache-hit entry point.
   std::vector<const admm::WarmStartIterate*> initial_iterates;
@@ -66,8 +67,8 @@ struct BatchSolveOptions {
   /// Tracing only observes the loop (spans share the PhaseBreakdown's
   /// clock reads), so iterates are bit-identical with it on or off.
   bool trace = false;
-  /// Sample each scenario's convergence state (primal/dual residual,
-  /// rho_scale, beta, cumulative branch TRON iterations) every this many
+  /// Sample each scenario's convergence state (primal/dual residual, beta,
+  /// cumulative branch TRON iterations) every this many
   /// fused steps into ScenarioReport::convergence; the final state is
   /// always appended at retirement. 0 disables sampling (and the report's
   /// convergence vector stays empty). Sampling is observation-only:
@@ -129,27 +130,6 @@ class BatchAdmmSolver {
   [[nodiscard]] const BatchPlan& plan() const { return plan_; }
 
  private:
-  /// Per-scenario replica of AdmmSolver::solve's loop-control state.
-  /// Termination is expressed by dropping the scenario from the next fused
-  /// step's active list.
-  struct Control {
-    int outer = 0;  ///< current outer iteration (0-based)
-    int inner = 0;  ///< inner iterations completed within the current outer
-    double prev_znorm = 0.0;
-    double eps_primal = 0.0;
-    double eps_dual = 0.0;
-  };
-
-  /// Per-scenario termination knobs: batch params with the scenario's
-  /// ScenarioControls overrides resolved (heterogeneous batches).
-  struct EffectiveControls {
-    double primal_tolerance = 0.0;
-    double dual_tolerance = 0.0;
-    double outer_tolerance = 0.0;
-    int max_inner_iterations = 0;
-    int max_outer_iterations = 0;
-  };
-
   /// One shard's execution context: its device, its state buffer(s) (one,
   /// or a ping-pong pair), and per-lane scratch. Shards touch disjoint
   /// scenarios, so they run concurrently without synchronization.
@@ -188,7 +168,6 @@ class BatchAdmmSolver {
   /// the captured per-scenario solutions).
   void evaluate_shard(int shard_id, int buf, std::span<const int> globals,
                       ScenarioReport& report, grid::Network& eval_net, bool capture);
-  void schedule_inner_tolerance(int s, Control& ctrl) const;
   void set_beta(int s, double value);
 
   grid::Network net_;
@@ -199,16 +178,14 @@ class BatchAdmmSolver {
   admm::ComponentModel model_;
   admm::ModelView mview_;
   admm::ColdStartTemplate cold_;   ///< shared cold-start template (host)
-  std::vector<double> rho0_;       ///< model rho (host copy for staging)
   BatchPlan plan_;
   std::vector<Shard> shards_;
   bool storage_ready_ = false;
   bool solved_ = false;
-  std::vector<Control> ctrl_;
-  std::vector<EffectiveControls> eff_;  ///< resolved per-scenario termination knobs
-  std::vector<double> beta_;       ///< per-scenario outer penalty (host truth)
-  std::vector<double> rho_scale_;  ///< cumulative adaptive-penalty scaling
-  std::vector<admm::AdmmStats> stats_;
+  /// Per-scenario loop controller and stats; termination is expressed by
+  /// dropping the scenario from the next fused step's active list.
+  std::vector<admm::LoopControl> ctrl_;
+  std::vector<double> beta_;  ///< per-scenario outer penalty (host truth)
   std::vector<grid::OpfSolution> pp_solutions_;  ///< per-wave captures (ping-pong)
   /// Convergence sampling state (empty unless
   /// options.convergence_sample_interval > 0): per-scenario trajectories

@@ -44,7 +44,7 @@ struct PhaseBreakdown {
   /// Host-side per-scenario work between kernels: active-slot packing,
   /// residual max-collection, convergence control flow.
   double residual_seconds = 0.0;
-  /// Outer-transition launches: adaptive-rho rescale + outer multiplier.
+  /// Outer-transition launch: the outer multiplier update.
   double outer_seconds = 0.0;
   /// On-device warm-start chaining: state copy + ramp-bound launches.
   double chain_seconds = 0.0;

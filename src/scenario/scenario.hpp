@@ -21,7 +21,8 @@ const char* to_string(ScenarioKind kind);
 
 /// Per-scenario convergence-control overrides, so one batch can mix
 /// heterogeneous requests (e.g. a fast approximate screen next to an
-/// accurate solve). Negative values inherit the batch-wide AdmmParams.
+/// accurate solve). Negative values inherit the batch-wide AdmmParams; a
+/// zero iteration budget is rejected by ScenarioSet::add.
 /// Only termination knobs are overridable: penalties and branch-subproblem
 /// controls shape the shared ComponentModel and stay batch-wide.
 struct ScenarioControls {

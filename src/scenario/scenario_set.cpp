@@ -90,6 +90,8 @@ int ScenarioSet::add(Scenario sc) {
                (c.dual_tolerance < 0.0 || std::isfinite(c.dual_tolerance)) &&
                (c.outer_tolerance < 0.0 || std::isfinite(c.outer_tolerance)),
            "ScenarioSet::add: control tolerances must be finite");
+  validate(c.max_inner_iterations != 0 && c.max_outer_iterations != 0,
+           "ScenarioSet::add: control iteration budgets must be positive");
   return append(std::move(sc));
 }
 

@@ -49,7 +49,8 @@ class ScenarioSet {
 
   /// Appends a hand-built scenario (loads default to the base case's when
   /// empty). Throws ValidationError on malformed input — out-of-range or
-  /// bridge outage branch, bad chain_from, non-finite loads or controls —
+  /// bridge outage branch, bad chain_from, non-finite loads or controls,
+  /// zero iteration budgets —
   /// instead of letting bad data reach the solvers. Returns its index.
   int add(Scenario sc);
 

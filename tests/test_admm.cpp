@@ -1,11 +1,19 @@
 // End-to-end tests of the two-level ADMM solver on canonical cases.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "admm/loop_control.hpp"
 #include "admm/one_level.hpp"
 #include "admm/solver.hpp"
+#include "common/error.hpp"
 #include "device/buffer.hpp"
 #include "grid/cases.hpp"
 #include "grid/solution.hpp"
+#include "scenario/batch_solver.hpp"
+#include "scenario/scenario_set.hpp"
 
 namespace gridadmm::admm {
 namespace {
@@ -154,28 +162,40 @@ TEST(Admm, StopsAtIterationBudget) {
   EXPECT_LE(stats.inner_iterations, 10);
 }
 
-TEST(Admm, AdaptiveRhoRecoversFromBadPreset) {
+TEST(Admm, MalformedInputsRaiseValidationError) {
   const auto net = grid::load_embedded_case("case9");
-  auto params = params_for_case("case9", 9);
-  params.rho_pq *= 0.05;  // deliberately mis-tuned
-  params.rho_va *= 0.05;
-  params.max_outer_iterations = 10;
-
-  AdmmSolver fixed(net, params);
-  const auto fixed_stats = fixed.solve();
-
-  params.adaptive_rho = true;
-  AdmmSolver adaptive(net, params);
-  const auto adaptive_stats = adaptive.solve();
-  EXPECT_GT(adaptive_stats.rho_rescales, 0);
-  EXPECT_TRUE(adaptive_stats.converged);
-  const auto quality = grid::evaluate_solution(net, adaptive.solution());
-  EXPECT_LT(quality.max_violation, 1e-2);
-  // With a preset this far off, residual balancing recovers a large part of
-  // the lost iterations.
-  if (fixed_stats.converged) {
-    EXPECT_LT(adaptive_stats.inner_iterations, fixed_stats.inner_iterations);
+  // A zero budget would report the untouched cold start as a solve.
+  scenario::ScenarioSet set(net);
+  set.add_base();
+  for (const auto budget : {&AdmmParams::max_inner_iterations, &AdmmParams::max_outer_iterations}) {
+    auto params = params_for_case("case9", 9);
+    params.*budget = 0;
+    EXPECT_THROW(AdmmSolver(net, params), ValidationError);
+    EXPECT_THROW(scenario::BatchAdmmSolver(set, params), ValidationError);
   }
+  // Non-finite loads and dispatch bounds.
+  AdmmSolver solver(net, params_for_case("case9", 9));
+  const auto nb = static_cast<std::size_t>(net.num_buses());
+  const auto ng = static_cast<std::size_t>(net.num_generators());
+  std::vector<double> pd(nb, 0.1), qd(nb, 0.1);
+  pd[4] = std::nan("");
+  EXPECT_THROW(solver.set_loads(pd, qd), ValidationError);
+  std::vector<double> pmin(ng, 0.0), pmax(ng, std::numeric_limits<double>::infinity());
+  EXPECT_THROW(solver.set_generator_pg_bounds(pmin, pmax), ValidationError);
+}
+
+TEST(Admm, NonFiniteImportedIterateThrowsNumericalError) {
+  // One NaN multiplier must reach the residual reductions and stop the
+  // solve, not let it "converge" on a non-finite iterate.
+  const auto net = grid::load_embedded_case("case9");
+  const auto params = params_for_case("case9", 9);
+  AdmmSolver base(net, params);
+  base.solve();
+  auto iterate = base.export_iterate();
+  iterate.lz[5] = std::nan("");
+  AdmmSolver solver(net, params);
+  solver.import_iterate(iterate);
+  EXPECT_THROW(solver.solve(), NumericalError);
 }
 
 TEST(Admm, ExtremePenaltiesDegradeQuality) {
@@ -188,6 +208,102 @@ TEST(Admm, ExtremePenaltiesDegradeQuality) {
   params.max_outer_iterations = 6;
   AdmmSolver solver(net, params);
   EXPECT_NO_THROW(solver.solve());
+}
+
+// ---- admm::LoopControl with scripted residuals ----
+// Both engines drive the controller, so batch == sequential cannot catch a
+// bug in it; these tests pin its decisions directly.
+
+using Next = LoopControl::Next;
+
+/// One outer iteration whose first inner iteration meets the scheduled
+/// tolerance, ending at ||z||_inf = z_norm; returns end_outer's verdict.
+bool quick_outer(LoopControl& control, double residual, double z_norm) {
+  EXPECT_EQ(control.end_inner(residual, residual), Next::kOuter);
+  return control.end_outer(z_norm);
+}
+
+TEST(LoopControl, InnerToleranceFollowsTheClampedSchedule) {
+  AdmmParams p;  // final 1e-4 (dual 2e-4 below), initial 1e-2, factor 0.05
+  p.dual_tolerance = 2e-4;
+  LoopControl control(p, p.beta0, false, "scripted");
+  EXPECT_DOUBLE_EQ(control.eps_primal(), p.inner_tolerance_initial);
+  EXPECT_DOUBLE_EQ(control.eps_dual(), p.inner_tolerance_initial);
+  ASSERT_TRUE(quick_outer(control, 1e-3, 0.1));  // 0.05 x 0.1 lies inside the bounds
+  EXPECT_DOUBLE_EQ(control.eps_primal(), p.inner_tolerance_factor * 0.1);
+  EXPECT_DOUBLE_EQ(control.eps_dual(), p.inner_tolerance_factor * 0.1);
+  ASSERT_TRUE(quick_outer(control, 1e-3, 1.0));  // clamped down to the initial tolerance
+  EXPECT_DOUBLE_EQ(control.eps_primal(), p.inner_tolerance_initial);
+  ASSERT_TRUE(quick_outer(control, 1e-3, 1e-5));  // clamped up to each final tolerance
+  EXPECT_DOUBLE_EQ(control.eps_primal(), p.primal_tolerance);
+  EXPECT_DOUBLE_EQ(control.eps_dual(), p.dual_tolerance);
+
+  // A final tolerance above the initial one must not invert the clamp: the
+  // scheduled 0.05 x 10 would then come back as the initial tolerance.
+  p.primal_tolerance = 5e-2;
+  LoopControl loose(p, p.beta0, false, "scripted");
+  EXPECT_DOUBLE_EQ(loose.eps_primal(), p.primal_tolerance);
+  ASSERT_TRUE(quick_outer(loose, 1e-3, 10.0));
+  EXPECT_DOUBLE_EQ(loose.eps_primal(), p.primal_tolerance);
+  EXPECT_DOUBLE_EQ(loose.eps_dual(), p.inner_tolerance_initial);
+}
+
+TEST(LoopControl, InnerBudgetAndConvergenceOnFinalTolerancesOnly) {
+  AdmmParams p;
+  p.max_inner_iterations = 4;
+  LoopControl control(p, p.beta0, true, "scripted");
+  for (int i = 1; i < 4; ++i) EXPECT_EQ(control.end_inner(1.0, 1.0), Next::kInner);
+  EXPECT_EQ(control.end_inner(1.0, 1.0), Next::kOuter);
+  EXPECT_EQ(control.stats().primal_history.size(), 4u);
+  ASSERT_TRUE(control.end_outer(1.0));
+  // Meets the scheduled 1e-2 and ||z||, not the final 1e-4: keep going.
+  EXPECT_TRUE(quick_outer(control, 5e-3, 1e-6));
+  EXPECT_FALSE(control.stats().converged);
+  EXPECT_FALSE(quick_outer(control, 5e-5, 1e-6));
+  EXPECT_TRUE(control.stats().converged);
+  EXPECT_EQ(control.stats().outer_iterations, 3);
+  EXPECT_EQ(control.stats().inner_iterations, 6);
+}
+
+TEST(LoopControl, BetaEscalatesOnlyWhenZFailsToShrinkAndIsCapped) {
+  AdmmParams p;
+  p.max_outer_iterations = 4;
+  LoopControl control(p, 1e11, true, "scripted");
+  EXPECT_TRUE(quick_outer(control, 1e-3, 1.0));  // first outer: nothing to compare
+  EXPECT_DOUBLE_EQ(control.beta(), 1e11);
+  EXPECT_TRUE(quick_outer(control, 1e-3, 0.5));  // 0.5 > 0.25 x 1.0: escalate
+  EXPECT_DOUBLE_EQ(control.beta(), 1e11 * p.beta_factor);
+  EXPECT_TRUE(quick_outer(control, 1e-3, 0.1));  // shrank enough: keep
+  EXPECT_DOUBLE_EQ(control.beta(), 1e11 * p.beta_factor);
+  EXPECT_FALSE(quick_outer(control, 1e-3, 0.1));  // the last outer escalates too, capped
+  EXPECT_DOUBLE_EQ(control.beta(), p.beta_max);
+  EXPECT_EQ(control.stats().z_history, (std::vector<double>{1.0, 0.5, 0.1, 0.1}));
+  EXPECT_FALSE(control.stats().converged);
+}
+
+TEST(LoopControl, OneLevelRetiresAfterItsSingleInnerLoop) {
+  AdmmParams p;
+  p.max_inner_iterations = 2;
+  p.max_outer_iterations = 2;
+  p = make_one_level(p);  // one inner loop of 4
+  LoopControl budget(p, p.beta0, false, "scripted");
+  for (int i = 1; i < 4; ++i) ASSERT_EQ(budget.end_inner(1.0, 1.0), Next::kInner);
+  EXPECT_EQ(budget.end_inner(1.0, 1.0), Next::kRetire);
+  EXPECT_FALSE(budget.stats().converged);
+  LoopControl met(p, p.beta0, false, "scripted");
+  EXPECT_EQ(met.end_inner(1e-3, 1e-3), Next::kRetire);
+  EXPECT_TRUE(met.stats().converged);
+}
+
+TEST(LoopControl, NonFiniteResidualThrows) {
+  LoopControl control(AdmmParams{}, 1e4, false, "scripted");
+  EXPECT_THROW(control.end_inner(std::nan(""), 1e-3), NumericalError);
+  EXPECT_THROW(control.end_inner(1e-3, std::numeric_limits<double>::infinity()),
+               NumericalError);
+  // The lane reduction hands a NaN on instead of dropping it.
+  const std::vector<double> partial = {0.5, 0.0, std::nan(""), 0.0};  // 2 lanes x 2 slots
+  EXPECT_TRUE(std::isnan(collect_slot_max(partial, 0, 2, 2)));
+  EXPECT_DOUBLE_EQ(collect_slot_max(partial, 1, 2, 2), 0.0);
 }
 
 }  // namespace

@@ -141,14 +141,22 @@ TEST(BusKernel, IsOptimalAlongFeasibleDirections) {
   }
 }
 
+/// Runs the solver's fused z/y kernel (two-level) on the fixture state.
+void run_zy(Fixture& f) {
+  const auto cells = static_cast<std::size_t>(f.dev.workers() * kReduceStride);
+  std::vector<double> partial_primal(cells), partial_z(cells);
+  update_zy_fused(f.dev, f.model, f.state, /*two_level=*/true, partial_primal, partial_z);
+}
+
 TEST(ZKernel, MinimizesScalarObjective) {
+  // z minimizes its subproblem at the y the kernel was called with.
   Fixture f;
   f.randomize(4);
-  update_z(f.dev, f.model, f.state);
+  const auto y = f.state.y.to_host();
+  run_zy(f);
   const auto u = f.state.u.to_host();
   const auto v = f.state.v.to_host();
   const auto z = f.state.z.to_host();
-  const auto y = f.state.y.to_host();
   const auto lz = f.state.lz.to_host();
   const auto rho = f.model.rho.to_host();
   Rng rng(5);
@@ -165,10 +173,11 @@ TEST(ZKernel, MinimizesScalarObjective) {
 }
 
 TEST(YKernel, AppliesDualAscentRule) {
+  // y ascends along the residual at the freshly updated z.
   Fixture f;
   f.randomize(6);
   const auto y_before = f.state.y.to_host();
-  update_y(f.dev, f.model, f.state);
+  run_zy(f);
   const auto y_after = f.state.y.to_host();
   const auto u = f.state.u.to_host();
   const auto v = f.state.v.to_host();

@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "common/error.hpp"
 #include "device/buffer.hpp"
 #include "device/device.hpp"
 #include "device/pool.hpp"
@@ -297,6 +298,25 @@ TEST(BatchAdmm, InitialIterateMatchesSingleSolverImportExactly) {
   BatchAdmmSolver cold(set, params);
   const auto cold_report = cold.solve();
   EXPECT_LT(report.records[0].inner_iterations, cold_report.records[0].inner_iterations);
+}
+
+TEST(BatchAdmm, NonFiniteSeededSlotThrowsNumericalError) {
+  // Serve's cache-hit entry with one NaN multiplier in a seed: the
+  // NaN-sticky residual slots must carry it to the loop controller's trap,
+  // or the slot "converges" on a non-finite iterate that serve would cache.
+  const auto net = grid::load_embedded_case("case9");
+  const auto params = admm::params_for_case("case9", net.num_buses());
+  admm::AdmmSolver base(net, params);
+  base.solve();
+  const auto healthy = base.export_iterate();
+  auto poisoned = healthy;
+  poisoned.y[5] = std::nan("");
+  ScenarioSet set(net);
+  set.add_load_scale(3, 0.98, 1.02);
+  BatchAdmmSolver solver(set, params);
+  BatchSolveOptions options;
+  options.initial_iterates = {&healthy, &poisoned, nullptr};
+  EXPECT_THROW(solver.solve(options), NumericalError);
 }
 
 TEST(BatchAdmm, ExportedBatchIterateRoundTripsIntoSingleSolver) {
@@ -602,16 +622,12 @@ TEST(BatchAdmm, PingPongHoldsBatchMemoryConstantInHorizonLength) {
 
 TEST(BatchAdmm, SteadyStateSolveAllocatesNoDeviceMemory) {
   // The hot path must not allocate: once storage exists (first solve),
-  // re-solving — staging, the fused loop, adaptive-rho rescales,
-  // evaluation — performs zero device allocations. Adaptive rho is forced
-  // on with a hair-trigger imbalance
-  // threshold so the rescale launch provably runs inside the measured
-  // window (a [=] lambda that captured the ComponentModel by value would
-  // copy its DeviceBuffers here and fail the allocation check).
+  // re-solving — staging, the fused loop, outer-multiplier launches,
+  // evaluation — performs zero device allocations (a [=] lambda that
+  // captured the ComponentModel by value would copy its DeviceBuffers here
+  // and fail the allocation check).
   const auto net = grid::load_embedded_case("case9");
-  auto params = admm::params_for_case("case9", net.num_buses());
-  params.adaptive_rho = true;
-  params.adaptive_rho_mu = 1.05;
+  const auto params = admm::params_for_case("case9", net.num_buses());
   ScenarioSet set(net);
   set.add_load_scale(10, 0.95, 1.05);
   BatchAdmmSolver solver(set, params);
@@ -626,9 +642,7 @@ TEST(BatchAdmm, SteadyStateSolveAllocatesNoDeviceMemory) {
   // workspaces persist in the shard, so a steady-state solve constructs
   // zero of them (the pre-fix engine built one per lane per launch).
   EXPECT_EQ(admm::BranchWorkspace::created(), workspaces_before);
-  int rescales = 0;
-  for (const auto& stats : report.stats) rescales += stats.rho_rescales;
-  EXPECT_GT(rescales, 0);  // the rescale path really ran in the window
+  EXPECT_GT(report.stats[0].outer_iterations, 1);  // outer launches ran in the window
 }
 
 TEST(BatchAdmm, LockstepBatchMatchesSequentialBitForBitAcrossShards) {

@@ -245,6 +245,12 @@ TEST(Scenario, MalformedInputsRaiseValidationError) {
   Scenario bad_control;
   bad_control.controls.primal_tolerance = std::numeric_limits<double>::infinity();
   EXPECT_THROW(set.add(bad_control), ValidationError);
+  Scenario zero_inner;
+  zero_inner.controls.max_inner_iterations = 0;
+  EXPECT_THROW(set.add(zero_inner), ValidationError);
+  Scenario zero_outer;
+  zero_outer.controls.max_outer_iterations = 0;
+  EXPECT_THROW(set.add(zero_outer), ValidationError);
 
   // Wrong-size load vectors.
   Scenario short_loads;
