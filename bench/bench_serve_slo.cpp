@@ -328,19 +328,9 @@ int main(int argc, char** argv) {
         outcomes.size() >= shed + ddl_shed + failed
             ? outcomes.size() - shed - ddl_shed - failed
             : 0;
-    // Futures resolve inside the batch; the batch commits its counters a
-    // moment later. Wait for every admitted request's commit to land so
-    // the per-load-point deltas (ledger, engine split) are exact.
-    const std::uint64_t settled_target =
-        before.completed + before.failed + before.deadline_shed +
-        static_cast<std::uint64_t>(completed + failed + ddl_shed);
-    serve::ServiceStats after = service.stats();
-    for (int spin = 0;
-         spin < 400 && after.completed + after.failed + after.deadline_shed < settled_target;
-         ++spin) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      after = service.stats();
-    }
+    // Every future is ready, and the service records a request's facts
+    // before its future: the deltas (ledger, engine split) are exact.
+    const serve::ServiceStats after = service.stats();
     std::uint64_t shard_quarantines = 0;
     int quarantined_now = 0;
     for (std::size_t d = 0; d < after.per_shard.size(); ++d) {

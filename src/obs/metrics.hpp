@@ -4,10 +4,10 @@
 // Instruments are created once (registry mutex held) and then updated
 // lock-free through the returned reference — atomic increments only, no
 // lookups or allocations on the hot path. The registry owns instrument
-// storage for its lifetime, so references stay valid. Shared by the serve
-// layer (latency/occupancy/queue telemetry, see serve/stats.hpp for how
-// the exact ring-buffer quantiles relate to the bucketed histogram ones)
-// and the bench harnesses.
+// storage for its lifetime, so references stay valid. A SolveService keeps
+// all of its telemetry in one registry, and serve::ServiceStats is a
+// read-only view of it (serve/stats.hpp); the bench harnesses use
+// registries too.
 #pragma once
 
 #include <atomic>
@@ -43,8 +43,10 @@ class Gauge {
 /// Histogram over exponential buckets: bucket i counts observations in
 /// (bound[i-1], bound[i]] with bound[i] = lowest * growth^i, plus one
 /// overflow bucket. Observation is two relaxed atomic increments and one
-/// atomic add; quantiles interpolate within the containing bucket
-/// (upper-bound-biased, so a quantile never understates the tail).
+/// atomic add. Count and sum are exact; quantiles are bucketed: the
+/// nearest rank (rounded up) is interpolated within the bucket that holds
+/// it, biased to the bucket's upper bound (a lone sample reads as that
+/// bound).
 class Histogram {
  public:
   /// `lowest` is the first bucket's upper bound (> 0); `growth` > 1;

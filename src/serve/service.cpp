@@ -39,6 +39,15 @@ void validate(bool cond, const Message& msg) {
   require_valid(cond, msg);
 }
 
+/// Fails a future through a temporary promise, so the service drops its
+/// share of the shared state as soon as the future is ready, leaving the
+/// caller's thread to free the exception it reads. The exception's
+/// reference count lives in the uninstrumented C++ runtime, so
+/// ThreadSanitizer would report a service-thread free after that read.
+void fail_future(std::promise<SolveResult>& promise, std::exception_ptr error) {
+  std::promise<SolveResult>(std::move(promise)).set_exception(std::move(error));
+}
+
 }  // namespace
 
 SolveService::SolveService(grid::Network base, admm::AdmmParams params, ServiceOptions options)
@@ -53,8 +62,6 @@ SolveService::SolveService(grid::Network base, admm::AdmmParams params, ServiceO
   require(std::isfinite(options_.batching_window_seconds) &&
               options_.batching_window_seconds >= 0.0,
           "SolveService: batching_window_seconds must be finite and non-negative");
-  require(options_.latency_sample_capacity > 0,
-          "SolveService: latency_sample_capacity must be positive");
   require(options_.watchdog_stall_seconds > 0.0,
           "SolveService: watchdog_stall_seconds must be positive");
   require(options_.expo_port >= -1 && options_.expo_port <= 65535,
@@ -99,10 +106,8 @@ SolveService::SolveService(grid::Network base, admm::AdmmParams params, ServiceO
                                    "Submit-to-fulfilled latency (injected clock)");
   m_occupancy_ = &metrics_.histogram("serve_batch_occupancy",
                                      "Requests coalesced per micro-batch", 1.0, 2.0, 10);
-  m_queue_depth_ = &metrics_.gauge("serve_queue_depth",
-                                   "Undispatched requests (refreshed by stats())");
-  m_in_flight_ = &metrics_.gauge("serve_in_flight",
-                                 "Requests inside batch solves (refreshed by stats())");
+  m_queue_depth_ = &metrics_.gauge("serve_queue_depth", "Undispatched requests");
+  m_in_flight_ = &metrics_.gauge("serve_in_flight", "Requests inside batch solves");
   // Fault-tolerance instruments (DESIGN.md §12).
   m_drain_shed_ = &metrics_.counter("serve_requests_drain_shed_total",
                                     "Requests rejected because the service was draining");
@@ -111,11 +116,15 @@ SolveService::SolveService(grid::Network base, admm::AdmmParams params, ServiceO
   m_retries_ = &metrics_.counter(
       "serve_retries_total",
       "Fused-solve re-attempts (transient retries, poison-bisection halves)");
+  m_bisections_ = &metrics_.counter("serve_bisections_total",
+                                    "Permanent-failure splits that isolate poison requests");
   m_quarantine_ = &metrics_.counter("serve_quarantine_transitions_total",
                                     "Shard circuit-breaker state changes");
   m_escalations_ = &metrics_.counter(
       "serve_escalation_retries_total",
       "Degraded-mode solo retries of should_escalate-flagged requests");
+  m_escalations_recovered_ = &metrics_.counter(
+      "serve_escalation_recovered_total", "Escalation retries that converged");
   m_failed_form_ = &metrics_.counter("serve_failures_by_stage_form_total",
                                      "Request failures during batch formation");
   m_failed_solve_ = &metrics_.counter("serve_failures_by_stage_solve_total",
@@ -131,18 +140,31 @@ SolveService::SolveService(grid::Network base, admm::AdmmParams params, ServiceO
         &metrics_.histogram(std::string("serve_latency_") + name + "_seconds",
                             "Submit-to-fulfilled latency by final engine");
   }
+  m_ipm_attempts_ = &metrics_.counter("serve_engine_ipm_attempts_total",
+                                      "MiniIPM fallback re-solves started");
   m_ipm_failures_ = &metrics_.counter(
       "serve_engine_ipm_failures_total",
       "MiniIPM fallback re-solves that ended in a typed error on the future");
   pool_ = std::make_unique<device::DevicePool>(options_.num_devices, options_.device_workers);
-  live_.batch_occupancy.assign(static_cast<std::size_t>(options_.max_batch_size), 0);
-  live_.per_shard.assign(static_cast<std::size_t>(options_.num_devices), ShardServiceStats{});
   shard_health_.assign(static_cast<std::size_t>(options_.num_devices), ShardHealth{});
-  m_shard_state_.reserve(static_cast<std::size_t>(options_.num_devices));
+  shard_in_flight_.assign(static_cast<std::size_t>(options_.num_devices), 0);
+  m_shard_.reserve(static_cast<std::size_t>(options_.num_devices));
   for (int d = 0; d < options_.num_devices; ++d) {
-    m_shard_state_.push_back(
-        &metrics_.gauge("serve_shard_state_" + std::to_string(d),
-                        "Shard circuit-breaker state (0 healthy, 1 quarantined, 2 half-open)"));
+    const std::string prefix = "serve_shard_" + std::to_string(d) + "_";
+    ShardSeries series;
+    series.batches = &metrics_.counter(prefix + "batches_total", "Micro-batches this shard solved");
+    series.requests =
+        &metrics_.counter(prefix + "requests_total", "Requests across this shard's batches");
+    series.launches =
+        &metrics_.counter(prefix + "launches_total", "Kernel launches on this shard's device");
+    series.blocks = &metrics_.counter(prefix + "blocks_total", "Blocks those launches ran");
+    series.launch_busy_seconds =
+        &metrics_.gauge(prefix + "launch_busy_seconds", "Wall time inside those launches");
+    series.quarantines = &metrics_.counter(prefix + "quarantines_total",
+                                           "Times this shard's circuit breaker tripped");
+    series.state = &metrics_.gauge(
+        prefix + "state", "Shard circuit-breaker state (0 healthy, 1 quarantined, 2 half-open)");
+    m_shard_.push_back(series);
   }
 
   // ---- SLO observability layer (monitor, per-stage histograms) ----
@@ -175,7 +197,6 @@ SolveService::SolveService(grid::Network base, admm::AdmmParams params, ServiceO
     expo_options.port = options_.expo_port;
     expo_ = std::make_unique<obs::ExpoServer>(expo_options);
     expo_->handle("/metrics", [this] {
-      stats();  // refresh gauges so the exposition agrees with ServiceStats
       return obs::ExpoResponse{200, "text/plain; version=0.0.4; charset=utf-8",
                                metrics_.expose_prometheus()};
     });
@@ -198,7 +219,7 @@ SolveService::SolveService(grid::Network base, admm::AdmmParams params, ServiceO
           body += health.state == ShardState::kHealthy       ? "healthy"
                   : health.state == ShardState::kQuarantined ? "quarantined"
                                                              : "half-open";
-          body += "\", \"quarantines\": " + std::to_string(live_.per_shard[d].quarantines);
+          body += "\", \"quarantines\": " + std::to_string(m_shard_[d].quarantines->value());
           body += ", \"consecutive_failures\": " + std::to_string(health.consecutive_failures);
           body += "}";
         }
@@ -248,10 +269,7 @@ SolveService::~SolveService() {
   cv_shard_.notify_all();
   dispatcher_.join();
   for (auto& worker : shard_workers_) worker.join();
-  if (!options_.metrics_snapshot_path.empty()) {
-    stats();  // final gauge refresh before the last snapshot line
-    append_metrics_snapshot();
-  }
+  if (!options_.metrics_snapshot_path.empty()) append_metrics_snapshot();
   if (attached_dump_) obs::MetricsDump::instance().detach(&metrics_);
 }
 
@@ -280,7 +298,6 @@ void SolveService::maintenance_main() {
       next_eval = now + as_duration(options_.slo_eval_interval_seconds);
     }
     if (do_snapshot && now >= next_snapshot) {
-      stats();  // refresh gauges so each snapshot line is coherent
       append_metrics_snapshot();
       next_snapshot = now + as_duration(options_.metrics_snapshot_interval_seconds);
     }
@@ -360,14 +377,12 @@ std::future<SolveResult> SolveService::submit(SolveRequest request) {
     if (draining_ || shutdown_) {
       // Drain-time sheds are intentional teardown, not capacity pressure:
       // counted apart so the SLO shed burn never pages on a clean drain.
-      ++live_.drain_shed;
       m_drain_shed_->inc();
       throw CapacityError("SolveService::submit: service is draining, request shed");
     }
     // Deadline enforcement, first rung: a request already expired on
     // arrival is rejected before it can burn a queue slot.
     if (pending.request.deadline > 0.0 && pending.submit_time >= pending.request.deadline) {
-      ++live_.deadline_shed;
       m_deadline_shed_->inc();
       if (slo_ != nullptr) slo_->record_deadline_shed(pending.submit_time);
       throw DeadlineError("SolveService::submit: deadline already expired at admission");
@@ -376,7 +391,6 @@ std::future<SolveResult> SolveService::submit(SolveRequest request) {
     // shard queues, and in-flight batches — so routing batches across the
     // pool cannot launder backpressure away.
     if (pending_total_ >= options_.max_queue_depth) {
-      ++live_.shed;
       m_shed_->inc();
       if (slo_ != nullptr) slo_->record_shed(pending.submit_time);
       throw CapacityError("SolveService::submit: queue full (max_queue_depth reached), "
@@ -386,8 +400,8 @@ std::future<SolveResult> SolveService::submit(SolveRequest request) {
     pending.id = request_id;
     queue_.push_back(std::move(pending));
     ++pending_total_;
-    ++live_.submitted;
     m_submitted_->inc();
+    m_queue_depth_->set(static_cast<double>(queue_.size()));
   }
   obs::instant("serve.admit", "req", request_id);
   cv_work_.notify_all();
@@ -490,16 +504,15 @@ void SolveService::transition_shard_locked(int shard, ShardState to) {
     health.reopen = std::chrono::steady_clock::now() +
                     std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                         std::chrono::duration<double>(options_.quarantine_backoff_seconds));
-    ++live_.per_shard[d].quarantines;
+    m_shard_[d].quarantines->inc();
     log::warn("SolveService: shard ", shard, " quarantined after ",
               health.consecutive_failures, " consecutive transient failures");
   } else if (to == ShardState::kHealthy) {
     health.consecutive_failures = 0;
     log::info("SolveService: shard ", shard, " recovered (half-open probe succeeded)");
   }
-  ++live_.quarantine_transitions;
   m_quarantine_->inc();
-  m_shard_state_[d]->set(static_cast<double>(static_cast<int>(to)));
+  m_shard_[d].state->set(static_cast<double>(static_cast<int>(to)));
   obs::instant("serve.quarantine", "shard", static_cast<std::uint64_t>(shard), "state",
                static_cast<std::uint64_t>(static_cast<int>(to)));
   // State changes alter dispatch capacity: wake the dispatcher and peers.
@@ -540,12 +553,14 @@ void SolveService::shard_worker_main(int shard) {
     Batch batch = std::move(dispatched_.front());
     dispatched_.pop_front();
     const int size = static_cast<int>(batch.requests.size());
-    live_.per_shard[d].in_flight = size;
+    shard_in_flight_[d] = size;
+    m_in_flight_->add(size);
     ++busy_workers_;
     lock.unlock();
     const BatchOutcome outcome = process_batch(std::move(batch), shard);
     lock.lock();
-    live_.per_shard[d].in_flight = 0;
+    shard_in_flight_[d] = 0;
+    m_in_flight_->add(-size);
     --busy_workers_;
     pending_total_ -= size;
     // ---- Circuit breaker (DESIGN.md §12) ----
@@ -584,18 +599,8 @@ std::vector<SolveService::Pending> SolveService::pop_batch_locked() {
     queue_.pop_front();
   }
   queue_.swap(rest);
+  m_queue_depth_->set(static_cast<double>(queue_.size()));
   return batch;
-}
-
-void SolveService::record_latency_locked(double seconds) {
-  ++live_.latency_samples;
-  const auto capacity = static_cast<std::size_t>(options_.latency_sample_capacity);
-  if (latency_samples_.size() < capacity) {
-    latency_samples_.push_back(seconds);
-  } else {
-    latency_samples_[latency_next_] = seconds;
-    latency_next_ = (latency_next_ + 1) % capacity;
-  }
 }
 
 SolveService::BatchOutcome SolveService::process_batch(Batch work, int shard) {
@@ -631,67 +636,16 @@ SolveService::BatchOutcome SolveService::process_batch(Batch work, int shard) {
       }
       obs::instant("serve.deadline_shed", "req", p.id, "batch", ctx.batch_id);
       if (slo_ != nullptr) slo_->record_deadline_shed(ctx.dispatch_time);
-      ++ctx.deadline_shed;
-      p.promise.set_exception(std::make_exception_ptr(
-          DeadlineError("SolveService: request deadline expired while queued")));
+      m_deadline_shed_->inc();
+      fail_future(p.promise, std::make_exception_ptr(DeadlineError(
+          "SolveService: request deadline expired while queued")));
       continue;
     }
     members.push_back(i);
   }
-  ctx.accepted = members.size();
 
   if (!members.empty()) solve_group(batch, std::move(members), ctx);
-
-  // ---- Commit the batch's telemetry under one lock ----
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto& shard_stats = live_.per_shard[static_cast<std::size_t>(shard)];
-  // Requests that reached the solve stage (formation failures fell out).
-  const std::size_t solved_for =
-      ctx.accepted >= ctx.failed_form ? ctx.accepted - ctx.failed_form : 0;
-  live_.completed += ctx.completed;
-  if (ctx.completed > 0) m_completed_->inc(ctx.completed);
-  live_.completed_admm += ctx.completed_admm;
-  live_.completed_escalated_admm += ctx.completed_escalated_admm;
-  live_.completed_ipm += ctx.completed_ipm;
-  if (ctx.completed_admm > 0) m_engine_completed_[0]->inc(ctx.completed_admm);
-  if (ctx.completed_escalated_admm > 0) m_engine_completed_[1]->inc(ctx.completed_escalated_admm);
-  if (ctx.completed_ipm > 0) m_engine_completed_[2]->inc(ctx.completed_ipm);
-  live_.ipm_attempts += ctx.ipm_attempts;
-  live_.ipm_failures += ctx.ipm_failures;
-  if (ctx.ipm_failures > 0) m_ipm_failures_->inc(ctx.ipm_failures);
-  const std::size_t failed = ctx.failed_form + ctx.failed_solve;
-  live_.failed += failed;
-  if (failed > 0) m_failed_->inc(failed);
-  if (ctx.failed_form > 0) m_failed_form_->inc(ctx.failed_form);
-  if (ctx.failed_solve > 0) m_failed_solve_->inc(ctx.failed_solve);
-  live_.deadline_shed += ctx.deadline_shed;
-  if (ctx.deadline_shed > 0) m_deadline_shed_->inc(ctx.deadline_shed);
-  const std::uint64_t retries =
-      ctx.attempts > 0 ? static_cast<std::uint64_t>(ctx.attempts) - 1 : 0;
-  live_.retries += retries;
-  if (retries > 0) m_retries_->inc(retries);
-  live_.bisections += ctx.bisections;
-  live_.escalation_retries += ctx.escalations;
-  live_.escalation_recovered += ctx.escalations_recovered;
-  if (ctx.escalations > 0) m_escalations_->inc(ctx.escalations);
-  if (solved_for > 0) {
-    ++live_.batches;
-    m_batches_->inc();
-    m_occupancy_->observe(static_cast<double>(solved_for));
-    ++shard_stats.batches;
-    shard_stats.requests += solved_for;
-    const auto slot = std::min(solved_for, static_cast<std::size_t>(options_.max_batch_size));
-    ++live_.batch_occupancy[slot - 1];
-  }
-  live_.launch_stats += ctx.launches;
-  shard_stats.launch_stats += ctx.launches;
-  for (const double latency : ctx.latencies) record_latency_locked(latency);
-
-  BatchOutcome outcome;
-  outcome.transient_attempts = ctx.transient_attempts;
-  outcome.exhausted_transient = ctx.exhausted_transient;
-  outcome.solved_any = ctx.solved_any;
-  return outcome;
+  return BatchOutcome{ctx.transient_attempts, ctx.exhausted_transient};
 }
 
 void SolveService::solve_group(std::vector<Pending>& batch, std::vector<std::size_t> members,
@@ -732,6 +686,15 @@ void SolveService::solve_group(std::vector<Pending>& batch, std::vector<std::siz
     formed.push_back(i);
   }
   if (formed.empty()) return;
+  if (ctx.attempts == 0) {
+    // The batch's first formation (bisected halves re-form subsets of it):
+    // counted before any formed member's future can be made ready.
+    const ShardSeries& shard = m_shard_[static_cast<std::size_t>(ctx.shard)];
+    m_batches_->inc();
+    m_occupancy_->observe(static_cast<double>(formed.size()));
+    shard.batches->inc();
+    shard.requests->inc(formed.size());
+  }
   ctx.form_ns = ctx.timeline_on ? obs::now_ns() : 0;
   if (ctx.timeline_on) {
     obs::span_between("serve.form", ctx.dispatch_ns, ctx.form_ns, "batch", ctx.batch_id);
@@ -777,7 +740,7 @@ void SolveService::solve_group(std::vector<Pending>& batch, std::vector<std::siz
       }
       // Permanent error inside a group: bisect to isolate the poison
       // request, so healthy co-batched requests still succeed.
-      ++ctx.bisections;
+      m_bisections_->inc();
       obs::instant("serve.bisect", "batch", ctx.batch_id, "size",
                    static_cast<std::uint64_t>(formed.size()));
       const auto half = static_cast<std::ptrdiff_t>(formed.size() / 2);
@@ -795,8 +758,15 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
                                    const scenario::ScenarioSet& set, BatchContext& ctx) {
   device::Device& device = pool_->device(ctx.shard);
   const bool use_cache = options_.cache.capacity > 0;
-  ++ctx.attempts;
+  if (ctx.attempts++ > 0) m_retries_->inc();  // a transient retry or a bisected half
+  // This attempt's launches: the fused solve plus any rung-2 rescues.
   device::LaunchStats attempt_launches;
+  const auto record_launches = [&] {
+    const ShardSeries& shard = m_shard_[static_cast<std::size_t>(ctx.shard)];
+    shard.launches->inc(attempt_launches.launches);
+    shard.blocks->inc(attempt_launches.blocks);
+    shard.launch_busy_seconds->add(attempt_launches.busy_seconds);
+  };
   scenario::ScenarioReport report;
   std::vector<grid::OpfSolution> solutions;
   std::vector<char> escalated(members.size(), 0);
@@ -878,9 +848,9 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
           slo_->record_deadline_shed(clock_->now());
         }
         obs::instant("serve.deadline_shed", "req", p.id, "batch", ctx.batch_id);
-        ++ctx.deadline_shed;
+        m_deadline_shed_->inc();
         resolved[s] = 1;
-        p.promise.set_exception(std::make_exception_ptr(DeadlineError(
+        fail_future(p.promise, std::make_exception_ptr(DeadlineError(
             "SolveService: request deadline expired at escalation pickup")));
       };
       for (std::size_t s = 0; s < members.size(); ++s) {
@@ -895,7 +865,7 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
         // The latest failed iterate seeds whichever rung runs next.
         admm::WarmStartIterate iterate = solver.export_iterate(static_cast<int>(s));
         if (flagged) {
-          ++ctx.escalations;
+          m_escalations_->inc();
           obs::instant("serve.retry", "req", p.id, "escalation", 1);
           try {
             scenario::ScenarioSet solo(*p.request.network);
@@ -923,15 +893,13 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
             scenario::BatchSolveOptions rescue_options;
             rescue_options.convergence_sample_interval = options_.convergence_sample_interval;
             rescue_options.initial_iterates.assign(1, &iterate);
-            device::LaunchStats rescue_launches;
             scenario::ScenarioReport rescue_report;
             {
-              device::LaunchStatsScope scope(device, rescue_launches);
+              device::LaunchStatsScope scope(device, attempt_launches);
               rescue_report = rescue.solve(rescue_options);
             }
-            ctx.launches += rescue_launches;
             if (rescue_report.records[0].converged) {
-              ++ctx.escalations_recovered;
+              m_escalations_recovered_->inc();
               solutions[s] = rescue.solutions()[0];
               report.stats[s] = rescue_report.stats[0];
               report.records[s] = rescue_report.records[0];
@@ -967,7 +935,7 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
           const double remaining = p.request.deadline - clock_->now();
           budget = budget > 0.0 ? std::min(budget, remaining) : remaining;
         }
-        ++ctx.ipm_attempts;
+        m_ipm_attempts_->inc();
         obs::instant("serve.ipm_rescue", "req", p.id, "batch", ctx.batch_id);
         try {
           scenario::Scenario sc;
@@ -995,7 +963,7 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
           // Decisive failure: the future carries the typed error
           // (ConvergenceError, NumericalError, ...) instead of a silently
           // non-converged result.
-          ++ctx.ipm_failures;
+          m_ipm_failures_->inc();
           fail_request(p, std::current_exception(), /*reached_solve=*/true, ctx);
           resolved[s] = 1;
         }
@@ -1003,12 +971,11 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
     }
   } catch (...) {
     // Partial launches of the failed attempt still happened on the device:
-    // keep them in the batch's attribution.
-    ctx.launches += attempt_launches;
+    // keep them in the shard's attribution.
+    record_launches();
     throw;
   }
-  ctx.launches += attempt_launches;
-  ctx.solved_any = true;
+  record_launches();
 
   // ---- Fulfill futures ----
   const double completion_time = clock_->now();
@@ -1052,16 +1019,11 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
       }
       slo_->record_latency(result.total_seconds, completion_time);
     }
-    ctx.latencies.push_back(result.total_seconds);
     m_latency_->observe(result.total_seconds);
     m_engine_latency_[static_cast<int>(engine[s])]->observe(result.total_seconds);
+    m_completed_->inc();
+    m_engine_completed_[static_cast<int>(engine[s])]->inc();
     obs::instant("serve.fulfill.req", "req", p.id, "batch", ctx.batch_id);
-    ++ctx.completed;
-    switch (static_cast<SolveEngine>(engine[s])) {
-      case SolveEngine::kAdmm: ++ctx.completed_admm; break;
-      case SolveEngine::kEscalatedAdmm: ++ctx.completed_escalated_admm; break;
-      case SolveEngine::kIpm: ++ctx.completed_ipm; break;
-    }
     p.promise.set_value(std::move(result));
   }
   if (ctx.timeline_on) {
@@ -1085,13 +1047,10 @@ void SolveService::fail_request(Pending& p, std::exception_ptr error, bool reach
       m_stage_[st]->observe(p.timeline.stage_seconds(st));
     }
   }
-  if (reached_solve) {
-    ++ctx.failed_solve;
-  } else {
-    ++ctx.failed_form;
-  }
+  m_failed_->inc();
+  (reached_solve ? m_failed_solve_ : m_failed_form_)->inc();
   obs::instant("serve.fail.req", "req", p.id, "batch", ctx.batch_id);
-  p.promise.set_exception(std::move(error));
+  fail_future(p.promise, std::move(error));
 }
 
 void SolveService::drain() {
@@ -1103,30 +1062,56 @@ void SolveService::drain() {
 }
 
 ServiceStats SolveService::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ServiceStats snapshot = live_;
-  snapshot.queue_depth = static_cast<int>(queue_.size());
-  snapshot.dispatch_backlog = 0;
-  for (const auto& batch : dispatched_) {
-    snapshot.dispatch_backlog += static_cast<int>(batch.requests.size());
-  }
-  snapshot.in_flight = 0;
-  for (const auto& shard : snapshot.per_shard) snapshot.in_flight += shard.in_flight;
-  for (std::size_t d = 0; d < shard_health_.size(); ++d) {
-    snapshot.per_shard[d].state = static_cast<int>(shard_health_[d].state);
-    snapshot.per_shard[d].consecutive_failures = shard_health_[d].consecutive_failures;
-    m_shard_state_[d]->set(static_cast<double>(snapshot.per_shard[d].state));
-  }
+  ServiceStats snapshot;
+  snapshot.submitted = m_submitted_->value();
+  snapshot.shed = m_shed_->value();
+  snapshot.drain_shed = m_drain_shed_->value();
+  snapshot.deadline_shed = m_deadline_shed_->value();
+  snapshot.completed = m_completed_->value();
+  snapshot.failed = m_failed_->value();
+  snapshot.retries = m_retries_->value();
+  snapshot.bisections = m_bisections_->value();
+  snapshot.escalation_retries = m_escalations_->value();
+  snapshot.escalation_recovered = m_escalations_recovered_->value();
+  snapshot.quarantine_transitions = m_quarantine_->value();
+  snapshot.completed_admm = m_engine_completed_[0]->value();
+  snapshot.completed_escalated_admm = m_engine_completed_[1]->value();
+  snapshot.completed_ipm = m_engine_completed_[2]->value();
+  snapshot.ipm_attempts = m_ipm_attempts_->value();
+  snapshot.ipm_failures = m_ipm_failures_->value();
+  snapshot.batches = m_batches_->value();
+  snapshot.batched_requests = static_cast<std::uint64_t>(m_occupancy_->sum());
   snapshot.cache_hits = cache_.hits();
   snapshot.cache_misses = cache_.misses();
   snapshot.cache_entries = static_cast<std::uint64_t>(cache_.size());
-  snapshot.p50_latency = latency_quantile(latency_samples_, 0.50);
-  snapshot.p95_latency = latency_quantile(latency_samples_, 0.95);
-  snapshot.p99_latency = latency_quantile(latency_samples_, 0.99);
-  // Refresh the registry's gauges from the same locked snapshot, so the
-  // Prometheus exposition and ServiceStats agree at snapshot time.
-  m_queue_depth_->set(static_cast<double>(snapshot.queue_depth));
-  m_in_flight_->set(static_cast<double>(snapshot.in_flight));
+  snapshot.latency_samples = m_latency_->count();
+  snapshot.p50_latency = m_latency_->quantile(0.50);
+  snapshot.p95_latency = m_latency_->quantile(0.95);
+  snapshot.p99_latency = m_latency_->quantile(0.99);
+  snapshot.per_shard.resize(m_shard_.size());
+  for (std::size_t d = 0; d < m_shard_.size(); ++d) {
+    ShardServiceStats& shard = snapshot.per_shard[d];
+    shard.batches = m_shard_[d].batches->value();
+    shard.requests = m_shard_[d].requests->value();
+    shard.launch_stats.launches = m_shard_[d].launches->value();
+    shard.launch_stats.blocks = m_shard_[d].blocks->value();
+    shard.launch_stats.busy_seconds = m_shard_[d].launch_busy_seconds->value();
+    shard.quarantines = m_shard_[d].quarantines->value();
+    snapshot.launch_stats += shard.launch_stats;
+  }
+  // Queue and breaker state lives under mu_, not in the registry.
+  const std::lock_guard<std::mutex> lock(mu_);
+  snapshot.queue_depth = static_cast<int>(queue_.size());
+  for (const auto& batch : dispatched_) {
+    snapshot.dispatch_backlog += static_cast<int>(batch.requests.size());
+  }
+  for (std::size_t d = 0; d < shard_health_.size(); ++d) {
+    ShardServiceStats& shard = snapshot.per_shard[d];
+    shard.in_flight = shard_in_flight_[d];
+    shard.state = static_cast<int>(shard_health_[d].state);
+    shard.consecutive_failures = shard_health_[d].consecutive_failures;
+    snapshot.in_flight += shard.in_flight;
+  }
   return snapshot;
 }
 

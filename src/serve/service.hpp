@@ -34,8 +34,12 @@
 // waits behind a busy device while another sits idle), and up to
 // num_devices micro-batches solve concurrently instead of serializing
 // behind one device. Kernel launches are attributed per shard
-// (ServiceStats::per_shard) and in aggregate (ServiceStats::launch_stats),
-// and never mix with other solvers' work in process-wide counters.
+// (ServiceStats::per_shard; ServiceStats::launch_stats is their sum), and
+// never mix with other solvers' work in process-wide counters.
+//
+// Telemetry has one store, the service's obs::MetricsRegistry. Each fact is
+// recorded once, where it happens, before any future it describes is made
+// ready; stats() is a read-only view derived from it (DESIGN.md §5.3).
 #pragma once
 
 #include <chrono>
@@ -89,8 +93,6 @@ struct ServiceOptions {
   /// Telemetry clock (null = steady clock). Scheduling always uses the
   /// steady clock; see serve/clock.hpp.
   std::shared_ptr<const Clock> clock;
-  /// Bound on retained latency samples for the percentile telemetry.
-  int latency_sample_capacity = 4096;
   /// Enables the process-wide obs::Tracer at construction, so the request
   /// lifecycle (admit -> queue -> dispatch -> per-shard solve -> fulfill)
   /// lands in the Chrome trace. Equivalent to GRIDADMM_TRACE=1.
@@ -199,7 +201,9 @@ class SolveService {
   /// Subsequent submits throw CapacityError; drain() is idempotent.
   void drain();
 
-  /// Value snapshot of the telemetry (thread-safe).
+  /// Value snapshot of the telemetry (thread-safe, read-only): a view
+  /// derived from metrics(), the cache and the queues. A request's facts
+  /// are in it once its future is ready.
   [[nodiscard]] ServiceStats stats() const;
 
   [[nodiscard]] const grid::Network& base_network() const { return base_; }
@@ -209,12 +213,11 @@ class SolveService {
   [[nodiscard]] device::Device& device() { return pool_->device(0); }
   [[nodiscard]] device::DevicePool& pool() { return *pool_; }
   [[nodiscard]] SolutionCache& cache() { return cache_; }
-  /// The service's metrics registry (admission counters, latency and
-  /// occupancy histograms, queue gauges). Expose via
-  /// metrics().expose_prometheus() or metrics().snapshot_json(); gauges are
-  /// refreshed by stats(). The exact ring-buffer percentiles stay on
-  /// ServiceStats — the registry's histogram percentiles are the bucketed
-  /// exposition-friendly approximation of the same series.
+  /// The service's metrics registry: the one store of its counters,
+  /// histograms and gauges (per shard too), which stats() only reads.
+  /// Each fact is recorded once, where it happens, before any future it
+  /// describes is made ready; gauges are set where their state changes.
+  /// Expose via metrics().expose_prometheus() or metrics().snapshot_json().
   [[nodiscard]] const obs::MetricsRegistry& metrics() const { return metrics_; }
   /// The SLO monitor (null unless ServiceOptions::slo). evaluate() through
   /// this pointer and the /slo endpoint see the same windows.
@@ -256,8 +259,8 @@ class SolveService {
     std::chrono::steady_clock::time_point reopen{};  ///< half-open eligibility
   };
 
-  /// Mutable bookkeeping shared by every fused-solve attempt of one
-  /// micro-batch; committed to live_ under mu_ once the batch resolves.
+  /// State shared by every fused-solve attempt of one micro-batch. It
+  /// holds no telemetry: facts go to the registry as they happen.
   struct BatchContext {
     std::uint64_t batch_id = 0;
     int shard = 0;
@@ -265,34 +268,26 @@ class SolveService {
     double dispatch_time = 0.0;
     std::uint64_t dispatch_ns = 0;
     std::uint64_t form_ns = 0;     ///< latest group's formation stamp
-    device::LaunchStats launches;  ///< accumulated across all attempts
     int attempts = 0;              ///< fused solves issued (escalations excluded)
-    bool solved_any = false;       ///< at least one fused attempt succeeded
     int transient_attempts = 0;    ///< attempts lost to TransientDeviceError
     bool exhausted_transient = false;  ///< a group ran out of transient retries
-    std::size_t accepted = 0;      ///< requests that reached the solve stage
-    std::size_t completed = 0;
-    std::size_t failed_form = 0;   ///< failures during ScenarioSet formation
-    std::size_t failed_solve = 0;  ///< failures during/after the fused solve
-    std::size_t deadline_shed = 0;
-    std::uint64_t bisections = 0;
-    std::uint64_t escalations = 0;
-    std::uint64_t escalations_recovered = 0;
-    /// Engine split of `completed` (DESIGN.md §13); the three always sum
-    /// to `completed` for this batch.
-    std::size_t completed_admm = 0;
-    std::size_t completed_escalated_admm = 0;
-    std::size_t completed_ipm = 0;
-    std::uint64_t ipm_attempts = 0;  ///< IPM-rung re-solves started
-    std::uint64_t ipm_failures = 0;  ///< IPM-rung typed failures (in failed_solve too)
-    std::vector<double> latencies;
   };
 
   /// What the shard worker feeds the circuit breaker after a batch.
   struct BatchOutcome {
     int transient_attempts = 0;
     bool exhausted_transient = false;
-    bool solved_any = false;  ///< at least one fused attempt ran to completion
+  };
+
+  /// One shard's registry series (serve_shard_<d>_*).
+  struct ShardSeries {
+    obs::Counter* batches = nullptr;
+    obs::Counter* requests = nullptr;
+    obs::Counter* launches = nullptr;
+    obs::Counter* blocks = nullptr;
+    obs::Gauge* launch_busy_seconds = nullptr;  ///< only grows (Counter is integral)
+    obs::Counter* quarantines = nullptr;
+    obs::Gauge* state = nullptr;
   };
 
   void dispatcher_main();
@@ -322,7 +317,6 @@ class SolveService {
   /// Workers a new batch could go to right now: healthy, half-open, or
   /// quarantined past reopen. Caller holds mu_.
   int available_workers_locked(std::chrono::steady_clock::time_point now) const;
-  void record_latency_locked(double seconds);
   /// Memoized structural fingerprint for a request's network (the base
   /// case's is precomputed; foreign networks are hashed once and pinned).
   std::uint64_t fingerprint_of(const std::shared_ptr<const grid::Network>& network);
@@ -354,9 +348,7 @@ class SolveService {
   std::deque<Batch> dispatched_;      ///< popped batches awaiting an idle device
   int busy_workers_ = 0;              ///< device workers currently inside a solve
   int pending_total_ = 0;             ///< accepted requests not yet fulfilled
-  ServiceStats live_;                 ///< counters (percentiles filled on snapshot)
-  std::vector<double> latency_samples_;
-  std::size_t latency_next_ = 0;      ///< ring-buffer cursor
+  std::vector<int> shard_in_flight_;  ///< requests inside each shard's current solve
   std::uint64_t next_batch_id_ = 1;
   std::uint64_t next_request_id_ = 1;  ///< trace correlation ids (under mu_)
   std::vector<ShardHealth> shard_health_;  ///< circuit breakers, one per shard
@@ -365,8 +357,9 @@ class SolveService {
   std::thread dispatcher_;
   std::vector<std::thread> shard_workers_;
 
-  /// Metrics registry and its hot-path instruments (pointers stay valid for
-  /// the registry's lifetime; updates are lock-free atomics).
+  /// Metrics registry, the one store of the service's telemetry, and its
+  /// hot-path instruments (pointers stay valid for the registry's
+  /// lifetime; updates are lock-free atomics).
   obs::MetricsRegistry metrics_;
   obs::Counter* m_submitted_ = nullptr;
   obs::Counter* m_shed_ = nullptr;
@@ -381,14 +374,17 @@ class SolveService {
   obs::Counter* m_drain_shed_ = nullptr;
   obs::Counter* m_deadline_shed_ = nullptr;
   obs::Counter* m_retries_ = nullptr;
+  obs::Counter* m_bisections_ = nullptr;
   obs::Counter* m_quarantine_ = nullptr;
   obs::Counter* m_escalations_ = nullptr;
+  obs::Counter* m_escalations_recovered_ = nullptr;
   obs::Counter* m_failed_form_ = nullptr;   ///< serve_failures_by_stage_form_total
   obs::Counter* m_failed_solve_ = nullptr;  ///< serve_failures_by_stage_solve_total
-  std::vector<obs::Gauge*> m_shard_state_;  ///< one per shard
+  std::vector<ShardSeries> m_shard_;        ///< one per shard
   // Engine-router instruments (DESIGN.md §13), indexed by SolveEngine.
   obs::Counter* m_engine_completed_[3] = {};  ///< serve_engine_<name>_completed_total
   obs::Histogram* m_engine_latency_[3] = {};  ///< serve_latency_<name>_seconds
+  obs::Counter* m_ipm_attempts_ = nullptr;    ///< serve_engine_ipm_attempts_total
   obs::Counter* m_ipm_failures_ = nullptr;    ///< serve_engine_ipm_failures_total
 
   // ---- SLO observability layer (all owned here; null/absent when off) ----

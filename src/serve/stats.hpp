@@ -1,9 +1,10 @@
-// Service telemetry: one coherent snapshot of queue, batching, cache, and
-// latency behavior. SolveService fills a live copy under its mutex and
-// returns value snapshots, so readers never race the dispatcher.
+// Service telemetry: a value snapshot of queue, batching, cache, and latency
+// behavior. SolveService::stats() derives it from the service's metrics
+// registry (the one store of its counters and histograms), the cache's own
+// counters, and the queues' state, so every registry-backed field equals its
+// series. A request's facts are in it once the request's future is ready.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -72,9 +73,9 @@ struct ServiceStats {
 
   // ---- Batching ----
   std::uint64_t batches = 0;  ///< dispatched micro-batches
-  /// batch_occupancy[k] counts batches that coalesced k+1 requests; the
-  /// vector is sized max_batch_size, so full batches land in the last slot.
-  std::vector<std::uint64_t> batch_occupancy;
+  /// Requests across those batches: the serve_batch_occupancy histogram's
+  /// sum (exact), so batched_requests / batches is the mean occupancy.
+  std::uint64_t batched_requests = 0;
 
   // ---- Warm-start cache ----
   std::uint64_t cache_hits = 0;
@@ -88,6 +89,10 @@ struct ServiceStats {
   std::vector<ShardServiceStats> per_shard;
 
   // ---- Latency (injected-clock seconds, submit -> future fulfilled) ----
+  /// The serve_latency_seconds histogram's count and quantiles. The
+  /// quantiles are bucketed (bucket bounds grow by 2x) and interpolated
+  /// within the bucket that holds them, biased to its upper bound: a lone
+  /// sample reads as that bound.
   std::uint64_t latency_samples = 0;
   double p50_latency = 0.0;
   double p95_latency = 0.0;
@@ -99,25 +104,9 @@ struct ServiceStats {
   }
 
   [[nodiscard]] double mean_batch_occupancy() const {
-    std::uint64_t batches_seen = 0, requests = 0;
-    for (std::size_t k = 0; k < batch_occupancy.size(); ++k) {
-      batches_seen += batch_occupancy[k];
-      requests += batch_occupancy[k] * (k + 1);
-    }
-    return batches_seen == 0 ? 0.0
-                             : static_cast<double>(requests) / static_cast<double>(batches_seen);
+    return batches == 0 ? 0.0
+                        : static_cast<double>(batched_requests) / static_cast<double>(batches);
   }
 };
-
-/// The q-quantile (0 <= q <= 1) of a sample vector, nearest-rank method.
-/// Takes a copy because nth_element reorders; empty input returns 0.
-inline double latency_quantile(std::vector<double> samples, double q) {
-  if (samples.empty()) return 0.0;
-  const auto rank = static_cast<std::size_t>(
-      q * static_cast<double>(samples.size() - 1) + 0.5);
-  const auto nth = samples.begin() + static_cast<std::ptrdiff_t>(rank);
-  std::nth_element(samples.begin(), nth, samples.end());
-  return *nth;
-}
 
 }  // namespace gridadmm::serve

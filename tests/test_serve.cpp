@@ -17,6 +17,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "admm/solver.hpp"
@@ -278,11 +279,7 @@ TEST(SolveService, DrainCompletesAllAcceptedUnderConcurrentSubmitters) {
     }
   }
   // Every request landed in some batch; occupancies account for all of them.
-  std::uint64_t served = 0;
-  for (std::size_t k = 0; k < stats.batch_occupancy.size(); ++k) {
-    served += stats.batch_occupancy[k] * (k + 1);
-  }
-  EXPECT_EQ(served, stats.submitted);
+  EXPECT_EQ(stats.batched_requests, stats.submitted);
 
   // Draining is permanent: later submissions shed.
   EXPECT_THROW(service.submit(SolveRequest{}), CapacityError);
@@ -368,8 +365,41 @@ TEST(SolveService, ManualClockFeedsLatencyTelemetry) {
 
   const auto stats = service.stats();
   EXPECT_EQ(stats.latency_samples, 1u);
-  EXPECT_DOUBLE_EQ(stats.p50_latency, 2.5);
-  EXPECT_DOUBLE_EQ(stats.p95_latency, 2.5);
+  // The histogram keeps the exact sum; its quantiles read the upper bound
+  // of the bucket holding 2.5 (1e-5 * 2^18).
+  EXPECT_NE(service.metrics().expose_prometheus().find("serve_latency_seconds_sum 2.5\n"),
+            std::string::npos);
+  EXPECT_DOUBLE_EQ(stats.p50_latency, 2.62144);
+  EXPECT_DOUBLE_EQ(stats.p95_latency, 2.62144);
+}
+
+TEST(SolveService, StatsCountARequestOnceItsFutureIsReady) {
+  // Every fact about a request is recorded before its future is made
+  // ready, so stats() read right after get() includes it — no drain().
+  const auto net = grid::load_embedded_case("case9");
+  const auto params = admm::params_for_case("case9", net.num_buses());
+
+  ServiceOptions options;
+  options.max_batch_size = 1;  // one request, one batch
+  options.batching_window_seconds = 0.0;
+  options.cache.capacity = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    SolveService service(net, params, options);
+    auto future = service.submit(SolveRequest{});
+    // Poll rather than block, so stats() runs the moment the future is
+    // ready: the tightest race against a commit made after it.
+    while (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+    }
+    EXPECT_TRUE(future.get().converged);
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.completed_admm, 1u);
+    EXPECT_EQ(stats.latency_samples, 1u);
+    EXPECT_EQ(stats.batches, 1u);
+    ASSERT_EQ(stats.per_shard.size(), 1u);
+    EXPECT_EQ(stats.per_shard[0].requests, 1u);
+  }
 }
 
 TEST(SolveService, RequestsAgainstDifferentCasesNeverShareABatch) {
@@ -599,14 +629,6 @@ TEST(SolutionCache, EvictingTheInsertKeysOwnSoleEntryIsSafe) {
   EXPECT_NE(cache.lookup(5, std::vector<double>{2.0}, std::vector<double>{0.0}).iterate, nullptr);
 }
 
-TEST(ServeStats, LatencyQuantileNearestRank) {
-  EXPECT_DOUBLE_EQ(latency_quantile({}, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(latency_quantile({3.0}, 0.95), 3.0);
-  EXPECT_DOUBLE_EQ(latency_quantile({1.0, 2.0, 3.0, 4.0, 5.0}, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(latency_quantile({5.0, 1.0, 4.0, 2.0, 3.0}, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(latency_quantile({5.0, 1.0, 4.0, 2.0, 3.0}, 1.0), 5.0);
-}
-
 TEST(NetworkFingerprint, InvariantToLoadsSensitiveToStructure) {
   const auto net = grid::load_embedded_case("case9");
   auto loaded = net;
@@ -759,6 +781,58 @@ TEST(SolveService, ExpoEndpointsAgreeWithServiceStats) {
   EXPECT_NE(metrics.find("serve_requests_completed_total " +
                          std::to_string(stats.completed)),
             std::string::npos);
+
+  // stats() reads the registry /metrics renders: every counter equals its
+  // series.
+  const std::pair<std::string, std::uint64_t> counters[] = {
+      {"serve_requests_submitted_total", stats.submitted},
+      {"serve_requests_shed_total", stats.shed},
+      {"serve_requests_drain_shed_total", stats.drain_shed},
+      {"serve_deadline_shed_total", stats.deadline_shed},
+      {"serve_requests_completed_total", stats.completed},
+      {"serve_requests_failed_total", stats.failed},
+      {"serve_retries_total", stats.retries},
+      {"serve_bisections_total", stats.bisections},
+      {"serve_escalation_retries_total", stats.escalation_retries},
+      {"serve_escalation_recovered_total", stats.escalation_recovered},
+      {"serve_quarantine_transitions_total", stats.quarantine_transitions},
+      {"serve_engine_admm_completed_total", stats.completed_admm},
+      {"serve_engine_escalated_admm_completed_total", stats.completed_escalated_admm},
+      {"serve_engine_ipm_completed_total", stats.completed_ipm},
+      {"serve_engine_ipm_attempts_total", stats.ipm_attempts},
+      {"serve_engine_ipm_failures_total", stats.ipm_failures},
+      {"serve_batches_total", stats.batches},
+      {"serve_batch_occupancy_sum", stats.batched_requests},
+      {"serve_latency_seconds_count", stats.latency_samples},
+      {"serve_shard_0_batches_total", stats.per_shard.at(0).batches},
+      {"serve_shard_0_requests_total", stats.per_shard.at(0).requests},
+      {"serve_shard_0_launches_total", stats.per_shard.at(0).launch_stats.launches},
+      {"serve_shard_0_blocks_total", stats.per_shard.at(0).launch_stats.blocks},
+      {"serve_shard_0_quarantines_total", stats.per_shard.at(0).quarantines},
+  };
+  for (const auto& [name, value] : counters) {
+    EXPECT_NE(metrics.find("\n" + name + " " + std::to_string(value) + "\n"), std::string::npos)
+        << name << " != " << value;
+  }
+  EXPECT_EQ(stats.completed, 4u);
+  EXPECT_GT(stats.launch_stats.launches, 0u);
+  // The latency quantiles are the histogram's, as the JSONL snapshot prints
+  // them.
+  const std::string snapshot = service.metrics().snapshot_json();
+  const auto json_field = [&snapshot](const std::string& key) {
+    const auto at = snapshot.find("\"" + key + "\": ");
+    if (at == std::string::npos) return std::string("(missing)");
+    const auto begin = at + key.size() + 4;
+    return snapshot.substr(begin, snapshot.find_first_of(",}", begin) - begin);
+  };
+  const auto printed = [](double value) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.9g", value);
+    return std::string(buf);
+  };
+  EXPECT_EQ(json_field("serve_latency_seconds_p50"), printed(stats.p50_latency));
+  EXPECT_EQ(json_field("serve_latency_seconds_p95"), printed(stats.p95_latency));
+  EXPECT_EQ(json_field("serve_latency_seconds_p99"), printed(stats.p99_latency));
 
   // Every thread is idle post-drain, and idle threads are always healthy.
   const std::string healthz =
@@ -1178,14 +1252,7 @@ TEST(SolveService, QuarantineTripsRedistributesAndHalfOpenRecovers) {
   // drained on shard 0 (or on shard 1 after its recovery).
   EXPECT_EQ(wave1_failed, 2);
 
-  // Futures resolve inside the solve; the worker commits its telemetry just
-  // after. Absorb that tiny lag before asserting on the counters.
   auto stats = service.stats();
-  for (int wait = 0; wait < 100; ++wait) {
-    if (stats.per_shard[0].requests + stats.per_shard[1].requests == 12u) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    stats = service.stats();
-  }
   ASSERT_EQ(stats.per_shard.size(), 2u);
   EXPECT_GE(stats.per_shard[1].quarantines, 1u);        // the breaker tripped
   EXPECT_GE(stats.quarantine_transitions, 1u);
@@ -1239,8 +1306,6 @@ TEST(SolveService, EscalationRungRecoversStalledRequestSolo) {
   EXPECT_TRUE(result.escalated);
   EXPECT_TRUE(result.converged);  // the boosted solo retry finished the job
 
-  // The future is fulfilled before the batch's telemetry commits; drain()
-  // waits for the commit.
   service.drain();
   const auto stats = service.stats();
   EXPECT_EQ(stats.escalation_retries, 1u);
@@ -1282,7 +1347,7 @@ TEST(SolveService, StressRequestDefeatsPureAdmmButIpmRungRescues) {
     options.engine_fallback = fallback;
     SolveService service(net, params, options);
     auto result = service.submit(stress_request(net)).get();
-    service.drain();  // telemetry commits at end-of-batch; don't race it
+    service.drain();
     auto stats = service.stats();
     return std::make_pair(std::move(result), std::move(stats));
   };
@@ -1542,9 +1607,6 @@ TEST(SolveService, FaultsOffPathHasNoRetryTelemetry) {
   for (int i = 0; i < 4; ++i) futures.push_back(service.submit(SolveRequest{}));
   for (auto& future : futures) EXPECT_TRUE(future.get().converged);
 
-  // The futures are fulfilled before the batch's fault-tolerance counters
-  // commit; drain() waits for the commit, so a late spurious retry would
-  // show up here.
   service.drain();
   const auto stats = service.stats();
   EXPECT_EQ(stats.retries, 0u);
