@@ -2,10 +2,12 @@
 //
 // Runs real BatchAdmmSolver solves (load-scale scenario sets) at
 // S in {16, 64, 256} and reports where each fused iteration's time goes,
-// phase by phase: generator / branch / bus / zy launches, host-side
-// residual collection (+ active-slot packing + control flow),
-// outer-transition launches, and warm-start chain copies. The branch phase
-// dominates the step, so this harness also attributes *within* it: the
+// phase by phase: the two launches of the step — the x-update (TRON
+// branches + generators) as `branch`, the v-update (buses + the z/y update
+// of their pairs) as `bus` — host-side residual collection (+ active-slot
+// packing + control flow), outer-transition launches, and warm-start chain
+// copies. The branch phase dominates the step, so this harness also
+// attributes *within* it: the
 // per-(config) summary adds the TRON work counters — tron / CG /
 // augmented-Lagrangian iterations and objective evaluations per fused step
 // — so a branch-phase regression can be split into "more TRON work" vs
@@ -68,16 +70,14 @@ int main(int argc, char** argv) {
       const auto report = solver.solve();
 
       const auto& p = report.phases;
-      const double loop_total = p.generator_seconds + p.branch_seconds + p.bus_seconds +
-                                p.zy_seconds + p.residual_seconds + p.outer_seconds +
-                                p.chain_seconds;
+      const double loop_total =
+          p.branch_seconds + p.bus_seconds + p.residual_seconds + p.outer_seconds + p.chain_seconds;
       const auto steps = static_cast<double>(report.fused_steps > 0 ? report.fused_steps : 1);
       const auto per_step = [&](double total) { return total / steps; };
       const auto us_per_step = [&](double seconds) { return 1e6 * seconds / steps; };
       const Phase phases[] = {
-          {"generator", p.generator_seconds}, {"branch", p.branch_seconds},
-          {"bus", p.bus_seconds},             {"zy", p.zy_seconds},
-          {"residual", p.residual_seconds},   {"outer", p.outer_seconds},
+          {"branch", p.branch_seconds},     {"bus", p.bus_seconds},
+          {"residual", p.residual_seconds}, {"outer", p.outer_seconds},
           {"chain", p.chain_seconds},
       };
       for (const Phase& phase : phases) {

@@ -166,26 +166,4 @@ void ensure_branch_lanes(std::vector<BranchWorkspace>& lanes, int workers,
   for (auto& lane : lanes) lane.bind_options(params.tron);
 }
 
-void update_branches(device::Device& dev, const ComponentModel& model, const AdmmParams& params,
-                     AdmmState& state, BranchUpdateStats* stats) {
-  const ModelView m = make_model_view(model);
-  const ScenarioView s = make_scenario_view(model, state);
-
-  // The lanes live in the state: allocated on the first launch, reused by
-  // every later one.
-  std::vector<BranchWorkspace>& lanes = state.branch_lanes;
-  ensure_branch_lanes(lanes, dev.workers(), params);
-
-  // One block per branch, each a one-lane lockstep group.
-  dev.launch_with_lane(model.num_branches, [&lanes, &params, m, &s](int l, int lane_id) {
-    const ScenarioView* view = &s;
-    branch_update_lanes<1>(m, params, {&view, 1}, l, lanes[static_cast<std::size_t>(lane_id)]);
-  });
-
-  for (auto& lane : lanes) {
-    if (stats != nullptr) *stats += lane.stats;
-    lane.stats = BranchUpdateStats{};
-  }
-}
-
 }  // namespace gridadmm::admm

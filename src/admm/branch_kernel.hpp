@@ -10,23 +10,19 @@
 // lockstep TRON (tron/lockstep_tron.hpp): a device block solves one branch
 // for a group of up to W scenario lanes together, the ExaTron thread-block
 // model of paper Section III-B with scenarios in the SIMD lanes. The
-// single-scenario kernel runs W = 1 (one block per branch); the fused batch
-// kernel runs W = kBranchLanes. See admm/branch_problem.hpp for the problem
-// and per-lane workspace types.
+// x-update launch (admm/step_kernels.hpp) runs W = 1 for a one-scenario
+// group and W = kBranchLanes otherwise. See admm/branch_problem.hpp for the
+// problem and per-lane workspace types.
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "admm/branch_problem.hpp"
 #include "admm/kernels_core.hpp"
 #include "admm/params.hpp"
-#include "admm/state.hpp"
-#include "device/device.hpp"
 
 namespace gridadmm::admm {
-
-void update_branches(device::Device& dev, const ComponentModel& model, const AdmmParams& params,
-                     AdmmState& state, BranchUpdateStats* stats = nullptr);
 
 /// Solves the branch-l subproblem against each of up to W scenario
 /// iterates (`lanes[j]` is lane j's view) in lockstep: the full TRON (+
@@ -47,10 +43,10 @@ extern template void branch_update_lanes<kBranchLanes>(const ModelView&, const A
                                                        std::span<const ScenarioView* const>, int,
                                                        BranchWorkspace&, int*);
 
-/// Sizes `lanes` to one workspace per device worker and rebinds the TRON
+/// Sizes `lanes` to one workspace per device lane and rebinds the TRON
 /// options, which may have changed between solves. When the size already
 /// matches — every call after the first, since a state's lanes always
-/// serve the same device — the workspaces are reused untouched; a worker-
+/// serve the same device — the workspaces are reused untouched; a lane-
 /// count change reconstructs the vector.
 void ensure_branch_lanes(std::vector<BranchWorkspace>& lanes, int workers,
                          const AdmmParams& params);

@@ -1,6 +1,5 @@
-// Per-component ADMM update math, shared between the single-scenario
-// kernels (generator_kernel.cpp, bus_kernel.cpp, zy_kernel.cpp) and the
-// fused multi-scenario batch kernels (src/scenario/batch_kernels.cpp).
+// Per-component ADMM update math, run by the step launchers
+// (admm/step_kernels.hpp) for one scenario and for fused batches alike.
 //
 // The updates are expressed over two raw-pointer views:
 //   - ModelView: problem data shared by every scenario (topology, costs,
@@ -148,21 +147,19 @@ inline void generator_update_one(const ModelView& m, const ScenarioView& s, int 
 }
 
 /// Closed-form bus update (paper eq. (7)), one device block per bus.
-/// `dual_slot`, when non-null, accumulates max_k |v_k - v_k^prev| for the
-/// caller's per-lane partial reduction.
+/// `dual_slot` accumulates max_k |v_k - v_k^prev| for the caller's
+/// per-lane partial reduction.
 inline void bus_update_one(const ModelView& m, const ScenarioView& s, int i, double* dual_slot) {
   // The proximal targets are m_k = u_k + z_k + y_k / rho_k: each duplicate
   // v_k minimizes rho_k/2 (v_k - m_k)^2 subject to the two balance rows.
   auto rho_at = [&](int k) { return m.rho[k]; };
   auto target = [&](int k) { return s.u[k] + s.z[k] + s.y[k] / m.rho[k]; };
   auto assign_v = [&](int k, double value) {
-    if (dual_slot != nullptr) {
-      // Penalty-normalized dual residual |v - v_prev| (Boyd's scaled
-      // form): comparable across rho presets and directly meaningful in
-      // per-unit terms.
-      const double delta = std::abs(value - s.v[k]);
-      if (delta > *dual_slot || std::isnan(delta)) *dual_slot = delta;
-    }
+    // Penalty-normalized dual residual |v - v_prev| (Boyd's scaled form):
+    // comparable across rho presets and directly meaningful in per-unit
+    // terms.
+    const double delta = std::abs(value - s.v[k]);
+    if (delta > *dual_slot || std::isnan(delta)) *dual_slot = delta;
     s.v[k] = value;
   };
 
@@ -246,6 +243,25 @@ inline void zy_update_one(const ModelView& m, const ScenarioView& s, int k, bool
   s.y[k] += m.rho[k] * rz;
   if (std::abs(rz) > *slot_primal || std::isnan(rz)) *slot_primal = std::abs(rz);
   if (std::abs(s.z[k]) > *slot_z || std::isnan(s.z[k])) *slot_z = std::abs(s.z[k]);
+}
+
+/// z/y updates of every pair bus i owns: its generators' two pairs and
+/// kp, kp+1, kp+4, kp+5 for each incident branch end kp (that end's power
+/// and voltage pairs). Run right after bus_update_one(i): those are exactly
+/// the pairs whose v it assigned and whose z, y it read.
+inline void owned_zy_update(const ModelView& m, const ScenarioView& s, int i, bool two_level,
+                            double* slot_primal, double* slot_z) {
+  for (int e = m.gen_ptr[i]; e < m.gen_ptr[i + 1]; ++e) {
+    const int kp = gen_pair_base(m.gen_list[e]);
+    zy_update_one(m, s, kp, two_level, slot_primal, slot_z);
+    zy_update_one(m, s, kp + 1, two_level, slot_primal, slot_z);
+  }
+  for (int e = m.adj_ptr[i]; e < m.adj_ptr[i + 1]; ++e) {
+    const int kp = m.adj_kp[e];
+    for (const int k : {kp, kp + 1, kp + 4, kp + 5}) {
+      zy_update_one(m, s, k, two_level, slot_primal, slot_z);
+    }
+  }
 }
 
 /// Outer multiplier update lambda <- clamp(lambda + beta z) (projection (8)).

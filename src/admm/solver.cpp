@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "admm/bus_kernel.hpp"
-#include "admm/generator_kernel.hpp"
-#include "admm/zy_kernel.hpp"
+#include "admm/step_kernels.hpp"
 #include "common/error.hpp"
 #include "common/numeric.hpp"
 #include "common/timer.hpp"
@@ -148,25 +146,31 @@ AdmmStats AdmmSolver::solve() {
   WallTimer timer;
   LoopControl control(params_, state_.beta, record_history_, net_.name);
   AdmmStats& stats = control.stats();
+  // One scenario: the step launchers run over the view of slot 0.
+  const ModelView m = make_model_view(model_);
+  ScenarioView view = make_scenario_view(model_, state_);
+  const std::span<const ScenarioView> views(&view, 1);
+  const int slots[] = {0};
   const int lanes = dev_->workers();
-  std::vector<double> partial_primal(static_cast<std::size_t>(lanes * kReduceStride), 0.0);
-  std::vector<double> partial_dual(static_cast<std::size_t>(lanes * kReduceStride), 0.0);
-  std::vector<double> partial_z(static_cast<std::size_t>(lanes * kReduceStride), 0.0);
-  const auto collect = [lanes](std::span<const double> partial) {
-    return collect_slot_max(partial, 0, kReduceStride, lanes);
+  const int row = reduce_row_stride(1);
+  std::vector<double> partial_primal(static_cast<std::size_t>(lanes * row), 0.0);
+  std::vector<double> partial_dual(static_cast<std::size_t>(lanes * row), 0.0);
+  std::vector<double> partial_z(static_cast<std::size_t>(lanes * row), 0.0);
+  const auto collect = [lanes, row](std::span<const double> partial) {
+    return collect_slot_max(partial, 0, row, lanes);
   };
 
   for (;;) {
-    update_generators(*dev_, model_, state_);
-    update_branches(*dev_, model_, params_, state_, &stats.branch);
-    update_buses(*dev_, model_, state_, partial_dual);
-    update_zy_fused(*dev_, model_, state_, params_.two_level, partial_primal, partial_z);
+    update_x(*dev_, m, params_, views, slots, state_.branch_lanes, &stats.branch);
+    update_v(*dev_, m, params_.two_level, views, slots, partial_primal, partial_dual, partial_z,
+             row);
     const auto next = control.end_inner(collect(partial_primal), collect(partial_dual));
     if (next == LoopControl::Next::kInner) continue;
     if (next == LoopControl::Next::kRetire) break;
     const bool more = control.end_outer(collect(partial_z));
-    update_outer_multiplier(*dev_, model_, state_, params_.lambda_bound);
+    update_outer_multiplier(*dev_, m, views, slots, params_.lambda_bound);
     state_.beta = control.beta();
+    view.beta = state_.beta;
     if (!more) break;
   }
 

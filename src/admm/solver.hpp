@@ -2,13 +2,16 @@
 //
 // Outer loop: augmented Lagrangian on z = 0 (multiplier lambda, penalty
 // beta). Inner loop: ADMM over the component decomposition
-//   x-update   : generators (closed form) and branches (TRON batch)
+//   x-update   : generators (closed form) and branches (TRON)
 //   xbar-update: buses (closed form, eq. (7))
 //   z-update   : closed form (eq. (6))
 //   y-update   : eq. (8)
-// All state is device-resident; one kernel launch per update, no
-// host<->device transfers inside the loop. Warm starting reuses the full
-// iterate (primal values and all multipliers) across solves.
+// All state is device-resident. Each inner iteration is two launches
+// (admm/step_kernels.hpp): the x-update, and the bus update fused with the
+// z/y update of each bus's own pairs; an ended outer iteration adds the
+// outer multiplier launch. No host<->device transfers inside the loop.
+// Warm starting reuses the full iterate (primal values and all
+// multipliers) across solves.
 #pragma once
 
 #include <memory>

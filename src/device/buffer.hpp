@@ -21,7 +21,7 @@ namespace gridadmm::device {
 
 /// Cache-line alignment of every device allocation and AlignedVector. The
 /// fused kernels' per-worker partial-reduction rows (an AlignedVector of
-/// scenario::reduce_row_stride doubles per row) rely on it: each row starts
+/// admm::reduce_row_stride doubles per row) rely on it: each row starts
 /// on its own cache line, so workers writing neighbouring rows do not
 /// false-share.
 inline constexpr std::size_t kDeviceAlignment = 64;

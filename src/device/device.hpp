@@ -6,9 +6,11 @@
 // so no host<->device transfer happens inside the solver loop.
 //
 // This sandbox has no GPU, so this module reproduces the *programming model*
-// and the *execution semantics* on a persistent CPU worker pool:
+// and the *execution semantics* on CPU lanes:
 //   - Device::launch(nblocks, kernel) invokes kernel(block) for every block
-//     index, scheduling blocks dynamically over the workers;
+//     index, scheduling blocks dynamically over the device's lanes. Lane 0
+//     is the thread that calls launch: it runs blocks itself and then waits
+//     only for the helper threads (lanes 1..n-1) still inside the kernel;
 //   - DeviceBuffer<T> marks arrays as device-resident and counts every
 //     host<->device transfer, so tests can assert the solver loop performs
 //     zero transfers exactly as the paper claims;
@@ -20,6 +22,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -50,26 +53,31 @@ inline LaunchStats operator-(const LaunchStats& a, const LaunchStats& b) {
   return d;
 }
 
-/// A persistent pool of workers exposing a CUDA-like bulk launch API.
+/// A set of execution lanes exposing a CUDA-like bulk launch API: the
+/// launching thread is lane 0, persistent helper threads are lanes 1..n-1.
 /// Thread-compatible: a Device may be shared, but launches are serialized.
 class Device {
  public:
-  /// Creates a device with `workers` threads (0 = hardware concurrency).
+  /// Creates a device with `workers` lanes (0 = hardware concurrency). It
+  /// starts workers - 1 helper threads; Device(1) starts none.
   explicit Device(int workers = 0);
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
   ~Device();
 
-  /// Number of worker threads (the simulated SM count).
-  [[nodiscard]] int workers() const { return static_cast<int>(threads_.size()); }
+  /// Number of lanes (the simulated SM count), the launching thread
+  /// included.
+  [[nodiscard]] int workers() const { return lanes_; }
 
   /// Runs kernel(block) for block in [0, nblocks). Blocks until every
   /// kernel instance finished (CUDA launch + synchronize). Exceptions thrown
-  /// by kernel instances are captured and the first one is rethrown here.
+  /// by kernel instances are captured, every other block still runs, and
+  /// the first exception is rethrown here.
   void launch(int nblocks, const std::function<void(int)>& kernel);
 
-  /// Like launch(), but hands the worker lane index [0, workers) to the
-  /// kernel so it can use per-lane scratch memory without synchronization.
+  /// Like launch(), but hands the lane index [0, workers) to the kernel so
+  /// it can use per-lane scratch memory without synchronization. Lane 0 is
+  /// always the calling thread.
   void launch_with_lane(int nblocks, const std::function<void(int, int)>& kernel);
 
   [[nodiscard]] const LaunchStats& stats() const { return stats_; }
@@ -81,34 +89,42 @@ class Device {
   [[nodiscard]] int trace_id() const { return trace_id_; }
 
  private:
-  struct Job {
-    const std::function<void(int, int)>* kernel = nullptr;
-    int nblocks = 0;
-    std::atomic<int> next_block{0};
-    std::atomic<int> remaining{0};
-  };
-
-  void worker_main(int lane);
+  void helper_main(int lane);
   void run_job(const std::function<void(int, int)>& kernel, int nblocks);
+  /// Claims chunks of the current job until none is left and runs them on
+  /// `lane`, recording the first exception. Returns the blocks it ran.
+  std::uint64_t run_blocks(const std::function<void(int, int)>& kernel, int nblocks, int lane);
 
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_job_;
-  std::condition_variable cv_done_;
-  Job job_;
-  std::uint64_t generation_ = 0;
-  bool shutdown_ = false;
-  std::exception_ptr first_error_;
-  std::mutex error_mu_;
-  LaunchStats stats_;
-  std::mutex launch_mu_;
+  int lanes_ = 1;
+  std::mutex launch_mu_;  ///< serializes launches
+  LaunchStats stats_;     ///< written by the launching thread only
   int trace_id_ = 0;
+
+  /// The current job, handed to helpers under mu_. A helper enters it only
+  /// while `open_` and counts itself in `inside_`; the launcher closes the
+  /// job once it has no block left to claim and waits for inside_ == 0, so
+  /// no helper touches the job after launch returns.
+  std::mutex mu_;
+  std::condition_variable cv_job_;   ///< helpers wait for a new generation
+  std::condition_variable cv_done_;  ///< the launcher waits for inside_ == 0
+  const std::function<void(int, int)>* kernel_ = nullptr;
+  int nblocks_ = 0;
+  std::uint64_t generation_ = 0;
+  bool open_ = false;
+  int inside_ = 0;
+  bool shutdown_ = false;
+  std::atomic<int> next_block_{0};  ///< next unclaimed block of the job
+
+  std::mutex error_mu_;
+  std::exception_ptr first_error_;  ///< guarded by error_mu_
+
+  std::vector<std::thread> helpers_;  ///< last: they use every member above
 };
 
 /// Returns a process-wide default device (lazily constructed).
 Device& default_device();
 
-/// The worker count a default Device resolves to: hardware concurrency
+/// The lane count a default Device resolves to: hardware concurrency
 /// with a fixed fallback when it is unknown. Shared by Device, DevicePool's
 /// even split, and the bench harnesses' telemetry so none can drift.
 int default_worker_count();

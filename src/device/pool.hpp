@@ -1,7 +1,7 @@
 // DevicePool: N independent simulated devices for sharded execution.
 //
 // The batch engine shards a scenario set across the pool — each shard's
-// fused kernels run on its own Device (its own worker pool, its own
+// fused kernels run on its own Device (its own lanes, its own
 // LaunchStats), so shard launches proceed concurrently and every launch is
 // attributable to the device that issued it. Device itself is unchanged;
 // the pool only owns instances and aggregates their counters.
@@ -17,12 +17,13 @@ namespace gridadmm::device {
 /// A fixed-size pool of independent Devices.
 ///
 /// By default the host's hardware concurrency is split evenly across the
-/// pool (max(1, hw / num_devices) workers per device), so a D-device pool
-/// uses roughly the same total parallelism as one default Device — sharding
-/// reallocates workers, it does not oversubscribe them.
+/// pool (max(1, hw / num_devices) lanes per device, the thread driving the
+/// device included), so a D-device pool uses roughly the same total
+/// parallelism as one default Device — sharding reallocates lanes, it does
+/// not oversubscribe them.
 class DevicePool {
  public:
-  /// Creates `num_devices` devices with `workers_per_device` threads each
+  /// Creates `num_devices` devices with `workers_per_device` lanes each
   /// (0 = split hardware concurrency evenly across the pool).
   explicit DevicePool(int num_devices, int workers_per_device = 0);
   DevicePool(const DevicePool&) = delete;

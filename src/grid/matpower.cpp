@@ -27,7 +27,8 @@ std::string strip_comments(const std::string& text) {
   return out;
 }
 
-/// Parses one numeric token, accepting Inf/-Inf.
+/// Parses one numeric token, accepting Inf/-Inf and rejecting NaN (which
+/// std::stod accepts).
 double parse_number(const std::string& token) {
   if (token == "Inf" || token == "inf") return std::numeric_limits<double>::infinity();
   if (token == "-Inf" || token == "-inf") return -std::numeric_limits<double>::infinity();
@@ -38,8 +39,22 @@ double parse_number(const std::string& token) {
   } catch (const std::exception&) {
     throw ParseError("matpower: bad numeric token '" + token + "'");
   }
-  if (pos != token.size()) throw ParseError("matpower: bad numeric token '" + token + "'");
+  if (pos != token.size() || std::isnan(value)) {
+    throw ParseError("matpower: bad numeric token '" + token + "'");
+  }
   return value;
+}
+
+/// Reads an integer field (ids, types, counts): it must be a finite whole
+/// number that fits an int, so the cast below is defined and no fractional
+/// bus number silently truncates onto another bus.
+int integer_field(double value, const char* what) {
+  if (!std::isfinite(value) || value != std::trunc(value) ||
+      value < static_cast<double>(std::numeric_limits<int>::min()) ||
+      value > static_cast<double>(std::numeric_limits<int>::max())) {
+    throw ParseError(std::string("matpower: ") + what + " must be an integer");
+  }
+  return static_cast<int>(value);
 }
 
 using Matrix = std::vector<std::vector<double>>;
@@ -130,8 +145,12 @@ Network parse_matpower(const std::string& raw_text, const std::string& name) {
   for (const auto& row : bus) {
     if (row.size() < 13) throw ParseError("matpower: bus row needs 13 columns");
     Bus b;
-    b.id = static_cast<int>(row[0]);
-    b.type = static_cast<BusType>(static_cast<int>(row[1]));
+    b.id = integer_field(row[0], "bus id");
+    const int type = integer_field(row[1], "bus type");
+    if (type < static_cast<int>(BusType::kPQ) || type > static_cast<int>(BusType::kIsolated)) {
+      throw ParseError("matpower: bus type must be 1-4");
+    }
+    b.type = static_cast<BusType>(type);
     b.pd = row[2];
     b.qd = row[3];
     b.gs = row[4];
@@ -155,8 +174,7 @@ Network parse_matpower(const std::string& raw_text, const std::string& name) {
       continue;
     }
     Generator g;
-    const int ext_bus = static_cast<int>(row[0]);
-    const auto it = bus_index.find(ext_bus);
+    const auto it = bus_index.find(integer_field(row[0], "generator bus"));
     if (it == bus_index.end()) throw ParseError("matpower: generator at unknown bus");
     g.bus = it->second;
     g.pg0 = row[1];
@@ -179,8 +197,8 @@ Network parse_matpower(const std::string& raw_text, const std::string& name) {
       continue;
     }
     Branch br;
-    const auto itf = bus_index.find(static_cast<int>(row[0]));
-    const auto itt = bus_index.find(static_cast<int>(row[1]));
+    const auto itf = bus_index.find(integer_field(row[0], "branch from-bus"));
+    const auto itt = bus_index.find(integer_field(row[1], "branch to-bus"));
     if (itf == bus_index.end() || itt == bus_index.end()) {
       throw ParseError("matpower: branch endpoint at unknown bus");
     }
@@ -203,11 +221,11 @@ Network parse_matpower(const std::string& raw_text, const std::string& name) {
     for (std::size_t g = 0; g < net.generators.size(); ++g) {
       const auto& row = gencost[static_cast<std::size_t>(gen_source_row[g])];
       if (row.size() < 4) throw ParseError("matpower: gencost row too short");
-      const int model = static_cast<int>(row[0]);
-      if (model != 2) {
+      if (integer_field(row[0], "gencost model") != 2) {
         throw ParseError("matpower: only polynomial gencost (model 2) is supported");
       }
-      const int ncost = static_cast<int>(row[3]);
+      const int ncost = integer_field(row[3], "gencost ncost");
+      if (ncost < 1) throw ParseError("matpower: gencost ncost must be at least 1");
       if (row.size() < 4 + static_cast<std::size_t>(ncost)) {
         throw ParseError("matpower: gencost coefficients missing");
       }

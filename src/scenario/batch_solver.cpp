@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "admm/step_kernels.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
 #include "obs/trace.hpp"
@@ -385,7 +386,7 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
     ++shard.fused_steps;
     phase_timer.reset();
     const int n = static_cast<int>(active.size());
-    const int row = reduce_row_stride(n);
+    const int row = admm::reduce_row_stride(n);
     const auto cells = static_cast<std::size_t>(lanes) * static_cast<std::size_t>(row);
     partial_primal.resize(cells);
     partial_dual.resize(cells);
@@ -399,20 +400,17 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
     take_phase(shard.phases.residual_seconds, "fused.pack");
 
     // One fused step: every active scenario advances one inner iteration
-    // with a constant number of launches on this shard's device.
-    batch_update_generators(*shard.dev, mview_, views, slots);
-    take_phase(shard.phases.generator_seconds, "fused.generator");
-    batch_update_branches(*shard.dev, mview_, params_, views, slots, shard.branch_lanes,
-                          &shard.branch_stats,
-                          sample_interval > 0 ? std::span<std::uint64_t>(shard.tron_partial)
-                                              : std::span<std::uint64_t>{},
-                          row);
+    // with two launches on this shard's device, the x-update and the
+    // v-update (admm/step_kernels.hpp).
+    admm::update_x(*shard.dev, mview_, params_, views, slots, shard.branch_lanes,
+                   &shard.branch_stats,
+                   sample_interval > 0 ? std::span<std::uint64_t>(shard.tron_partial)
+                                       : std::span<std::uint64_t>{},
+                   row);
     take_phase(shard.phases.branch_seconds, "fused.branch");
-    batch_update_buses(*shard.dev, mview_, views, slots, partial_dual, row);
+    admm::update_v(*shard.dev, mview_, params_.two_level, views, slots, partial_primal,
+                   partial_dual, partial_z, row);
     take_phase(shard.phases.bus_seconds, "fused.bus");
-    batch_update_zy(*shard.dev, mview_, params_.two_level, views, slots, partial_primal,
-                    partial_z, row);
-    take_phase(shard.phases.zy_seconds, "fused.zy");
 
     next_active.clear();
     outer_slots.clear();
@@ -453,7 +451,8 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
     // update at the beta it ran with; the escalated beta applies after it,
     // as in AdmmSolver::solve.
     if (!outer_slots.empty()) {
-      batch_update_outer_multiplier(*shard.dev, mview_, views, outer_slots, params_.lambda_bound);
+      admm::update_outer_multiplier(*shard.dev, mview_, views, outer_slots,
+                                    params_.lambda_bound);
     }
     take_phase(shard.phases.outer_seconds, "fused.outer");
     for (const int s : outer_scenarios) set_beta(s, ctrl_[static_cast<std::size_t>(s)].beta());

@@ -6,7 +6,7 @@
 // round-robin of chain roots over the pool's devices; chained scenarios
 // follow their parent so period-to-period chaining stays on one device).
 // Each shard owns a scenario-major BatchAdmmState on its own device and
-// executes the existing fused kernels over its local slots — shards run
+// executes the fused step launches over its local slots — shards run
 // concurrently, one thread per shard, with no kernel-level changes. Every
 // scenario drives its own admm::LoopControl, the controller AdmmSolver::solve
 // drives (inexact inner tolerance schedule, outer augmented-Lagrangian
@@ -17,12 +17,13 @@
 // for 1/2/4 shards). Host-side residual collection happens per (shard,
 // scenario) and merges into one per-scenario report.
 //
-// Each fused step launches the four component kernels over
-// active-scenarios x components blocks per shard (the branch kernel over
-// branches x groups of kBranchLanes scenarios, solved in lockstep), so the
-// launch count per step is constant in S and per-shard *block* counts
-// scale as ~S/D — the ExaTron one-block-per-subproblem execution model
-// widened across scenarios and then dealt across devices.
+// Each fused step is two launches per shard (admm/step_kernels.hpp): the
+// x-update over branches x groups of kBranchLanes active scenarios (solved
+// in lockstep) plus active-scenarios x generators, and the v-update over
+// active-scenarios x buses, each bus block also updating z and y of the
+// pairs it owns. The launch count per step is constant in S and per-shard
+// *block* counts scale as ~S/D — the ExaTron one-block-per-subproblem
+// execution model widened across scenarios and then dealt across devices.
 //
 // Warm-start seeding: with `warm_start_from_base` the base case is solved
 // once and its full iterate fans out to every chain-root scenario; tracking

@@ -37,10 +37,14 @@ struct ScenarioRecord {
 /// wall time); per phase they remain comparable between runs and are
 /// what bench_kernel_breakdown records.
 struct PhaseBreakdown {
-  double generator_seconds = 0.0;  ///< fused generator-update launches
-  double branch_seconds = 0.0;     ///< fused TRON branch-update launches
-  double bus_seconds = 0.0;        ///< fused bus-update launches
-  double zy_seconds = 0.0;         ///< fused z+y launches
+  /// Always 0: generator blocks run in the x-update (branch_seconds).
+  /// Kept because perfbench's screen workload reads it.
+  double generator_seconds = 0.0;
+  double branch_seconds = 0.0;  ///< x-update launches: TRON branches + generators
+  double bus_seconds = 0.0;     ///< v-update launches: buses + z/y of their pairs
+  /// Always 0: the z/y update runs in the v-update (bus_seconds). Kept
+  /// because perfbench's screen workload reads it.
+  double zy_seconds = 0.0;
   /// Host-side per-scenario work between kernels: active-slot packing,
   /// residual max-collection, convergence control flow.
   double residual_seconds = 0.0;

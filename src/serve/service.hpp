@@ -87,8 +87,9 @@ struct ServiceOptions {
   /// Devices in the service-owned pool. Micro-batches are routed to the
   /// least-loaded device, so up to num_devices batches solve concurrently.
   int num_devices = 1;
-  /// Worker threads per pool device (0 = hardware concurrency split evenly
-  /// across the pool).
+  /// Lanes per pool device (0 = hardware concurrency split evenly across
+  /// the pool). The shard thread that drives a device is its lane 0, so a
+  /// device adds device_workers - 1 helper threads.
   int device_workers = 0;
   /// Telemetry clock (null = steady clock). Scheduling always uses the
   /// steady clock; see serve/clock.hpp.

@@ -10,6 +10,7 @@
 #include "admm/solver.hpp"
 #include "common/error.hpp"
 #include "device/buffer.hpp"
+#include "device/device.hpp"
 #include "grid/cases.hpp"
 #include "grid/solution.hpp"
 #include "scenario/batch_solver.hpp"
@@ -51,6 +52,31 @@ TEST(Admm, BranchLaneWorkspacesPersistAcrossSolves) {
   solver.prepare_warm_start();
   solver.solve();
   EXPECT_EQ(BranchWorkspace::created(), created_after_first);
+}
+
+TEST(Admm, IssuesTwoLaunchesPerInnerIterationPlusOnePerOuter) {
+  // Launch geometry of a solve: per inner iteration the x-update (one
+  // block per generator and per branch) and the v-update (one block per
+  // bus); per ended outer iteration the multiplier update (one block per
+  // pair).
+  const auto net = grid::load_embedded_case("case9");
+  device::Device dev(2);
+  AdmmSolver solver(net, params_for_case("case9", 9), &dev);
+  device::LaunchStats launched;
+  AdmmStats stats;
+  {
+    const device::LaunchStatsScope scope(dev, launched);
+    stats = solver.solve();
+  }
+  ASSERT_TRUE(stats.converged);
+  ASSERT_GT(stats.outer_iterations, 1);
+  const auto inner = static_cast<std::uint64_t>(stats.inner_iterations);
+  const auto outer = static_cast<std::uint64_t>(stats.outer_iterations);
+  const auto& m = solver.model();
+  EXPECT_EQ(launched.launches, 2 * inner + outer);
+  EXPECT_EQ(launched.blocks,
+            static_cast<std::uint64_t>(m.num_gens + m.num_branches + m.num_buses) * inner +
+                static_cast<std::uint64_t>(m.num_pairs) * outer);
 }
 
 TEST(Admm, SolvesCase14WithUnratedLines) {

@@ -4,10 +4,8 @@
 
 #include <cmath>
 
-#include "admm/branch_kernel.hpp"
-#include "admm/bus_kernel.hpp"
-#include "admm/generator_kernel.hpp"
-#include "admm/zy_kernel.hpp"
+#include "admm/state.hpp"
+#include "admm/step_kernels.hpp"
 #include "common/rng.hpp"
 #include "grid/cases.hpp"
 
@@ -40,12 +38,32 @@ struct Fixture {
     fill(state.y, -5.0, 5.0);
     state.beta = 1e3;
   }
+
+  /// The solver's x-update launch (generators + branches) on the state.
+  void x_update() {
+    const ScenarioView view = make_scenario_view(model, state);
+    const int slots[] = {0};
+    update_x(dev, make_model_view(model), params, {&view, 1}, slots, state.branch_lanes,
+             nullptr);
+  }
+
+  /// The solver's v-update launch (two-level): the bus update, then the
+  /// z/y update of each bus's pairs.
+  void v_update() {
+    const ScenarioView view = make_scenario_view(model, state);
+    const int slots[] = {0};
+    const int row = reduce_row_stride(1);
+    const auto cells = static_cast<std::size_t>(dev.workers() * row);
+    std::vector<double> partial_primal(cells), partial_dual(cells), partial_z(cells);
+    update_v(dev, make_model_view(model), /*two_level=*/true, {&view, 1}, slots, partial_primal,
+             partial_dual, partial_z, row);
+  }
 };
 
 TEST(GeneratorKernel, MatchesBruteForceScalarMinimum) {
   Fixture f;
   f.randomize(1);
-  update_generators(f.dev, f.model, f.state);
+  f.x_update();
   const auto u = f.state.u.to_host();
   const auto v = f.state.v.to_host();
   const auto z = f.state.z.to_host();
@@ -82,7 +100,7 @@ TEST(GeneratorKernel, MatchesBruteForceScalarMinimum) {
 TEST(BusKernel, SatisfiesPowerBalanceExactly) {
   Fixture f;
   f.randomize(2);
-  update_buses(f.dev, f.model, f.state);
+  f.v_update();
   const auto v = f.state.v.to_host();
   const auto w = f.state.bus_w.to_host();
   for (int i = 0; i < f.net.num_buses(); ++i) {
@@ -113,11 +131,13 @@ TEST(BusKernel, IsOptimalAlongFeasibleDirections) {
   // direction in the null space of the balance rows must vanish.
   Fixture f;
   f.randomize(3);
-  update_buses(f.dev, f.model, f.state);
+  // The bus update minimizes against the z, y it started from; the z/y
+  // update of the same launch overwrites them afterwards.
   const auto u = f.state.u.to_host();
-  const auto v = f.state.v.to_host();
   const auto z = f.state.z.to_host();
   const auto y = f.state.y.to_host();
+  f.v_update();
+  const auto v = f.state.v.to_host();
   const auto rho = f.model.rho.to_host();
 
   // Pick bus with >= 2 adjacent branches: perturb two p-flow copies in
@@ -141,19 +161,13 @@ TEST(BusKernel, IsOptimalAlongFeasibleDirections) {
   }
 }
 
-/// Runs the solver's fused z/y kernel (two-level) on the fixture state.
-void run_zy(Fixture& f) {
-  const auto cells = static_cast<std::size_t>(f.dev.workers() * kReduceStride);
-  std::vector<double> partial_primal(cells), partial_z(cells);
-  update_zy_fused(f.dev, f.model, f.state, /*two_level=*/true, partial_primal, partial_z);
-}
-
 TEST(ZKernel, MinimizesScalarObjective) {
-  // z minimizes its subproblem at the y the kernel was called with.
+  // z minimizes its subproblem at the y the launch was called with and
+  // the v it assigned.
   Fixture f;
   f.randomize(4);
   const auto y = f.state.y.to_host();
-  run_zy(f);
+  f.v_update();
   const auto u = f.state.u.to_host();
   const auto v = f.state.v.to_host();
   const auto z = f.state.z.to_host();
@@ -177,7 +191,7 @@ TEST(YKernel, AppliesDualAscentRule) {
   Fixture f;
   f.randomize(6);
   const auto y_before = f.state.y.to_host();
-  run_zy(f);
+  f.v_update();
   const auto y_after = f.state.y.to_host();
   const auto u = f.state.u.to_host();
   const auto v = f.state.v.to_host();
@@ -194,7 +208,9 @@ TEST(OuterMultiplier, ClampsToBounds) {
   f.state.beta = 1e12;
   std::vector<double> big_z(f.state.z.size(), 1.0);
   f.state.z.upload(big_z);
-  update_outer_multiplier(f.dev, f.model, f.state, 1e8);
+  const ScenarioView view = make_scenario_view(f.model, f.state);
+  const int slots[] = {0};
+  update_outer_multiplier(f.dev, make_model_view(f.model), {&view, 1}, slots, 1e8);
   for (const double l : f.state.lz.to_host()) EXPECT_LE(std::abs(l), 1e8);
 }
 
@@ -274,7 +290,7 @@ TEST(BranchKernel, UpdatesConsensusValuesConsistently) {
     bx[4 * l + 3] = 0.0;
   }
   f.state.branch_x.upload(bx);
-  update_branches(f.dev, f.model, f.params, f.state);
+  f.x_update();
   const auto u = f.state.u.to_host();
   const auto x = f.state.branch_x.to_host();
   for (int l = 0; l < f.net.num_branches(); ++l) {

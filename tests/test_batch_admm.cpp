@@ -5,13 +5,13 @@
 
 #include <cmath>
 
+#include "admm/step_kernels.hpp"
 #include "common/error.hpp"
 #include "device/buffer.hpp"
 #include "device/device.hpp"
 #include "device/pool.hpp"
 #include "grid/cases.hpp"
 #include "opf/tracking.hpp"
-#include "scenario/batch_kernels.hpp"
 #include "scenario/batch_plan.hpp"
 #include "scenario/batch_solver.hpp"
 #include "scenario/scenario_set.hpp"
@@ -64,6 +64,25 @@ TEST(BatchAdmm, SixteenLoadScenariosMatchSequentialWithFewerLaunches) {
   }
   EXPECT_GT(batched.launch_stats.launches, 0u);
   EXPECT_LT(batched.launch_stats.launches, sequential.launch_stats.launches);
+}
+
+TEST(BatchAdmm, OneScenarioBatchIssuesTheSolversLaunchesAndBlocks) {
+  // At S = 1 the fused engine and AdmmSolver drive the same launchers over
+  // one view, so their launch and block counts are identical.
+  const auto net = grid::load_embedded_case("case14");
+  const auto params = admm::params_for_case("case14", net.num_buses());
+  ScenarioSet set(net);
+  set.add_load_scale(1, 1.03, 1.03);
+  device::Device dev(2);
+  const auto sequential = solve_sequential(set, params, &dev);
+  BatchAdmmSolver solver(set, params, &dev);
+  const auto batched = solver.solve();
+  EXPECT_EQ(batched.records[0].inner_iterations, sequential.records[0].inner_iterations);
+  EXPECT_EQ(batched.launch_stats.launches, sequential.launch_stats.launches);
+  EXPECT_EQ(batched.launch_stats.blocks, sequential.launch_stats.blocks);
+  EXPECT_EQ(batched.launch_stats.launches,
+            2 * static_cast<std::uint64_t>(batched.records[0].inner_iterations) +
+                static_cast<std::uint64_t>(batched.records[0].outer_iterations));
 }
 
 TEST(BatchAdmm, ControlFlowReplicaMatchesIterationCounts) {
@@ -739,10 +758,11 @@ TEST(BatchAdmm, LockstepBatchMatchesSequentialThroughPingPongChains) {
 }
 
 TEST(BatchAdmm, BranchLaunchIssuesOneBlockPerBranchAndLaneGroup) {
-  // The lockstep branch kernel's launch geometry: one block per (branch,
-  // group of up to kBranchLanes consecutive active slots), so one branch
-  // launch issues num_branches * ceil(active / kBranchLanes) blocks —
-  // partial tail groups included, outaged lanes masked inside their group.
+  // The x-update's launch geometry: one block per (branch, group of up to
+  // kBranchLanes consecutive active slots), partial tail groups included
+  // and outaged lanes masked inside their group, plus one block per
+  // (slot, generator) — |slots| * num_gens + num_branches *
+  // ceil(|slots| / kBranchLanes) blocks in one launch.
   const auto net = grid::load_embedded_case("case9");
   const auto params = admm::params_for_case("case9", net.num_buses());
   const auto model = admm::build_component_model(net, params);
@@ -762,11 +782,12 @@ TEST(BatchAdmm, BranchLaunchIssuesOneBlockPerBranchAndLaneGroup) {
     for (int s = 0; s < active; ++s) slots.push_back(S - 1 - s);  // any slot order
     admm::BranchUpdateStats stats;
     const auto before = dev.stats();
-    batch_update_branches(dev, m, params, views, slots, lanes, &stats);
+    admm::update_x(dev, m, params, views, slots, lanes, &stats);
     const auto launched = dev.stats() - before;
     EXPECT_EQ(launched.launches, 1u);
     EXPECT_EQ(launched.blocks,
-              static_cast<std::uint64_t>(model.num_branches) * ((active + W - 1) / W));
+              static_cast<std::uint64_t>(active) * model.num_gens +
+                  static_cast<std::uint64_t>(model.num_branches) * ((active + W - 1) / W));
     EXPECT_GT(stats.tron_iterations + stats.function_evals, 0);
   }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <thread>
 
@@ -51,6 +52,74 @@ TEST(Device, LanesAreExclusive) {
   std::vector<long> counters(4, 0);  // deliberately unsynchronized
   dev.launch_with_lane(20000, [&](int, int lane) { counters[lane] += 1; });
   EXPECT_EQ(std::accumulate(counters.begin(), counters.end(), 0L), 20000);
+}
+
+TEST(Device, LaneZeroIsTheCallingThread) {
+  // The launching thread runs blocks as lane 0; helper threads are lanes
+  // 1..n-1 and are never handed lane 0.
+  Device dev(3);
+  const auto caller = std::this_thread::get_id();
+  for (int launch = 0; launch < 20; ++launch) {
+    std::atomic<bool> lane0_ran{false};
+    std::atomic<bool> mismatch{false};
+    dev.launch_with_lane(200, [&](int, int lane) {
+      if ((lane == 0) != (std::this_thread::get_id() == caller)) mismatch.store(true);
+      if (lane == 0) {
+        lane0_ran.store(true);
+      } else {
+        // Helpers hold their first block until the caller has run one, so
+        // every launch exercises lane 0 whatever the wake-up timing.
+        while (!lane0_ran.load()) std::this_thread::yield();
+      }
+    });
+    EXPECT_FALSE(mismatch.load()) << "launch " << launch;
+    EXPECT_TRUE(lane0_ran.load()) << "launch " << launch;
+  }
+}
+
+TEST(Device, SingleLaneDeviceRunsEveryBlockOnTheCaller) {
+  Device dev(1);
+  EXPECT_EQ(dev.workers(), 1);
+  const auto caller = std::this_thread::get_id();
+  int ran = 0;
+  int off_caller = 0;
+  dev.launch_with_lane(1000, [&](int, int lane) {
+    ++ran;
+    if (lane != 0 || std::this_thread::get_id() != caller) ++off_caller;
+  });
+  EXPECT_EQ(ran, 1000);
+  EXPECT_EQ(off_caller, 0);
+}
+
+TEST(Device, LaneZeroExceptionWaitsForEveryBlockAndHelper) {
+  // A block that throws on lane 0 is rethrown only after every other block
+  // has run and every helper has left the kernel.
+  Device dev(3);
+  constexpr int kBlocks = 200;
+  std::atomic<bool> lane0_ran{false};
+  std::atomic<bool> thrown{false};
+  std::atomic<int> ran{0};
+  std::atomic<int> inside{0};
+  EXPECT_THROW(dev.launch_with_lane(kBlocks,
+                                    [&](int, int lane) {
+                                      if (lane == 0) {
+                                        lane0_ran.store(true);
+                                        if (!thrown.exchange(true)) {
+                                          throw GridError("lane 0 block");
+                                        }
+                                        ran.fetch_add(1);
+                                        return;
+                                      }
+                                      inside.fetch_add(1);
+                                      while (!lane0_ran.load()) std::this_thread::yield();
+                                      std::this_thread::sleep_for(std::chrono::microseconds(50));
+                                      ran.fetch_add(1);
+                                      inside.fetch_sub(1);
+                                    }),
+               GridError);
+  EXPECT_TRUE(thrown.load());
+  EXPECT_EQ(ran.load(), kBlocks - 1);
+  EXPECT_EQ(inside.load(), 0);
 }
 
 TEST(Device, PropagatesKernelException) {

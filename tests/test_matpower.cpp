@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "grid/cases.hpp"
@@ -78,6 +80,47 @@ mpc.gen = [ 1 0 0 1 -1 1 100 1 1 0; ];
 mpc.branch = [ 1 1 0 0.1 0 0 0 0 0 0 1; ];
 )";
   EXPECT_THROW(parse_matpower(text), ParseError);
+}
+
+TEST(Matpower, RejectsNanAndNonIntegerFields) {
+  // Integer fields (bus ids and types, generator buses, branch endpoints,
+  // gencost model and ncost) must be finite whole numbers in range, and no
+  // token may be NaN: a NaN id used to be cast to int (undefined
+  // behaviour), and bus 2.7 silently became bus 2.
+  const std::string valid = R"(mpc.baseMVA = 100;
+mpc.bus = [
+ 1 3 0 0 0 0 1 1 0 345 1 1.1 0.9;
+ 2 1 10 5 0 0 1 1 0 345 1 1.1 0.9;
+];
+mpc.gen = [ 1 0 0 100 -100 1 100 1 100 0; ];
+mpc.branch = [ 1 2 0.01 0.1 0 0 0 0 0 0 1 -360 360; ];
+mpc.gencost = [ 2 0 0 3 0.01 10 0; ];
+)";
+  ASSERT_EQ(parse_matpower(valid).num_buses(), 2);
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string text = valid;
+    const auto pos = text.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    return text.replace(pos, from.size(), to);
+  };
+  const std::pair<std::string, std::string> edits[] = {
+      {" 2 1 10 5", " nan 1 10 5"},          // bus id NaN
+      {" 2 1 10 5", " 2.7 1 10 5"},          // fractional bus id
+      {" 2 1 10 5", " 2 1.5 10 5"},          // fractional bus type
+      {" 2 1 10 5", " 2 7 10 5"},            // bus type out of range
+      {" 2 1 10 5", " 3e10 1 10 5"},         // bus id beyond int
+      {" 2 1 10 5", " 2 1 nan 5"},           // NaN load
+      {"[ 1 0 0 100", "[ 1.2 0 0 100"},      // generator at bus 1.2
+      {"[ 1 2 0.01", "[ 1 NaN 0.01"},        // branch endpoint NaN
+      {"[ 1 2 0.01", "[ 1 inf 0.01"},        // branch endpoint Inf
+      {"[ 2 0 0 3", "[ 2.5 0 0 3"},          // fractional gencost model
+      {"[ 2 0 0 3", "[ 2 0 0 0"},            // ncost 0
+      {"[ 2 0 0 3", "[ 2 0 0 -1"},           // ncost -1
+      {"mpc.baseMVA = 100", "mpc.baseMVA = nan"},
+  };
+  for (const auto& [from, to] : edits) {
+    EXPECT_THROW(parse_matpower(with(from, to)), ParseError) << to;
+  }
 }
 
 TEST(Matpower, RejectsPiecewiseLinearCost) {

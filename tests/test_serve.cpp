@@ -444,14 +444,18 @@ TEST(SolveService, MultiDeviceRoutesBatchesToIdleShard) {
   options.cache.capacity = 0;
   SolveService service(net, params, options);
 
-  // A deliberately slow request: unreachable tolerance, large budget.
+  // A deliberately slow request: unreachable tolerance, large budget. The
+  // first two outer iterations end at the scheduled inner tolerance (92 and
+  // 323 inner iterations); the third spends its whole inner budget, 5,415
+  // iterations in all, long enough for the 1-ms poll below to see it in
+  // flight.
   SolveRequest slow;
   slow.pd = loads.pd;
   slow.qd = loads.qd;
   slow.controls.primal_tolerance = 1e-14;
   slow.controls.dual_tolerance = 1e-14;
-  slow.controls.max_inner_iterations = 50000;
-  slow.controls.max_outer_iterations = 1;
+  slow.controls.max_inner_iterations = 5000;
+  slow.controls.max_outer_iterations = 3;
   auto slow_future = service.submit(std::move(slow));
   // Wait until the slow batch is actually solving on some shard before
   // submitting the fast one, so the idle-shard pick is deterministic.
