@@ -51,14 +51,15 @@ KernelFixture& fixture_for(int workers) {
 /// plus the per-lane residual partials of the v-update.
 struct StepState {
   admm::ComponentModel model;
-  admm::AdmmState st;
+  admm::BatchAdmmState st;
   admm::ScenarioView view;
+  std::vector<admm::BranchWorkspace> lanes;
   int row = admm::reduce_row_stride(1);
   std::vector<double> partial_primal, partial_dual, partial_z;
 
   explicit StepState(const KernelFixture& f)
-      : model(admm::build_component_model(f.net, f.params)), st(admm::AdmmState::zeros(model)) {
-    st.beta = 1e3;
+      : model(admm::build_component_model(f.net, f.params)),
+        st(admm::BatchAdmmState::single(model, f.net)) {
     st.u.fill(0.1);
     st.v.fill(0.1);
     // Realistic voltage starting points.
@@ -68,7 +69,8 @@ struct StepState {
       bx[4 * l + 1] = 1.0;
     }
     st.branch_x.upload(bx);
-    view = admm::make_scenario_view(model, st);
+    view = st.view(model, 0);
+    view.beta = 1e3;
     const auto cells = static_cast<std::size_t>(f.dev->workers() * row);
     partial_primal.assign(cells, 0.0);
     partial_dual.assign(cells, 0.0);
@@ -78,7 +80,7 @@ struct StepState {
   void x_update(KernelFixture& f) {
     const int slots[] = {0};
     admm::update_x(*f.dev, admm::make_model_view(model), f.params, {&view, 1}, slots,
-                   st.branch_lanes, nullptr);
+                   lanes, nullptr);
   }
   void v_update(KernelFixture& f) {
     const int slots[] = {0};

@@ -1,34 +1,30 @@
-// Batched ADMM state for fused multi-scenario solves, scenario-major: slot
-// s of an array with per-scenario extent E is the contiguous slice
-// [s*E, (s+1)*E), so a scenario's view is its slice base pointers and every
-// kernel indexes elements directly.
+// The ADMM iterate store: S scenario slots, scenario-major. Slot s of an
+// array with per-scenario extent E is the contiguous slice [s*E, (s+1)*E),
+// so a scenario's view is its slice base pointers and every kernel indexes
+// elements directly. AdmmSolver owns a one-slot state; the batch engine
+// owns one or two per shard (scenario::BatchPlan).
 //
 // Why not interleaved tiles (component-major, scenario lane innermost: the
 // SIMD batching layout of Shin & Anitescu, arXiv:2307.16830)? Lockstep TRON
 // gathers each lane from its own scenario view, and an end-to-end A/B found
 // tiles no faster on the traffic the engine serves (DESIGN.md §8).
 //
-// Per-scenario *problem data* that the scenario engine may vary (loads,
-// generator pg bounds, branch outage masks) lives here too; the
-// scenario-invariant remainder, per-pair penalties rho included, stays in
-// the shared ComponentModel. The outer penalty beta is a host scalar per
-// scenario, held by the batch engine and copied into each ScenarioView.
-//
-// Two-buffer ping-pong mode: for time-coupled sets where only consecutive
-// waves interact, the batch engine allocates a pair of BatchAdmmStates per
-// shard sized to the largest wave instead of one state sized to every
-// scenario. Wave d executes in buffer d % 2 while buffer (d - 1) % 2 holds
-// the previous wave's iterates for the on-device chain copy
-// (scenario::batch_chain_state with distinct src/dst states); wave d + 1
-// then reuses the parent buffer. Live batch-state memory is constant in
-// the horizon length (see scenario::BatchPlan).
+// Per-scenario *problem data* (loads, generator pg bounds, branch outage
+// masks) lives here too; the scenario-invariant remainder, per-pair
+// penalties rho and the base pg bounds included, stays in the shared
+// ComponentModel, which does not change after it is built. The outer
+// penalty beta is a host scalar per scenario, held by the owning solver and
+// copied into each ScenarioView.
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "admm/component_model.hpp"
 #include "admm/kernels_core.hpp"
+#include "admm/warm_start.hpp"
 #include "device/buffer.hpp"
+#include "grid/network.hpp"
 
 namespace gridadmm::admm {
 
@@ -51,10 +47,18 @@ struct BatchAdmmState {
   /// Allocates all buffers for S scenarios of `model` (zero-filled,
   /// branch_active = 1).
   static BatchAdmmState zeros(const ComponentModel& model, int num_scenarios);
+  /// One slot holding `net`'s own loads and pg bounds, iterate zero-filled
+  /// (AdmmSolver's store; `model` is built from `net`).
+  static BatchAdmmState single(const ComponentModel& model, const grid::Network& net);
 
   /// Raw-pointer view of scenario s's slices (valid until any resize); the
-  /// engine sets its outer penalty.
+  /// owner sets its outer penalty.
   [[nodiscard]] ScenarioView view(const ComponentModel& model, int s);
+
+  /// Snapshots slot s's full iterate with slice downloads, tagged with the
+  /// outer penalty `beta` it was produced under.
+  [[nodiscard]] WarmStartIterate export_slot(const ComponentModel& model, int s,
+                                             double beta) const;
 };
 
 inline BatchAdmmState BatchAdmmState::zeros(const ComponentModel& model, int num_scenarios) {
@@ -85,6 +89,25 @@ inline BatchAdmmState BatchAdmmState::zeros(const ComponentModel& model, int num
   return b;
 }
 
+inline BatchAdmmState BatchAdmmState::single(const ComponentModel& model,
+                                            const grid::Network& net) {
+  BatchAdmmState b = zeros(model, 1);
+  std::vector<double> pd, qd, pmin, pmax;
+  for (const auto& bus : net.buses) {
+    pd.push_back(bus.pd);
+    qd.push_back(bus.qd);
+  }
+  for (const auto& gen : net.generators) {
+    pmin.push_back(gen.pmin);
+    pmax.push_back(gen.pmax);
+  }
+  b.pd.upload(pd);
+  b.qd.upload(qd);
+  b.pmin.upload(pmin);
+  b.pmax.upload(pmax);
+  return b;
+}
+
 inline ScenarioView BatchAdmmState::view(const ComponentModel& model, int s) {
   const auto slot = static_cast<std::size_t>(s);
   const auto np = slot * static_cast<std::size_t>(model.num_pairs);
@@ -110,6 +133,35 @@ inline ScenarioView BatchAdmmState::view(const ComponentModel& model, int s) {
   view.pmax = pmax.data() + ng;
   view.branch_active = branch_active.data() + nl;
   return view;
+}
+
+inline WarmStartIterate BatchAdmmState::export_slot(const ComponentModel& model, int s,
+                                                    double beta) const {
+  const auto slot = static_cast<std::size_t>(s);
+  const auto np = static_cast<std::size_t>(model.num_pairs);
+  const auto nb = static_cast<std::size_t>(model.num_buses);
+  const auto ng = static_cast<std::size_t>(model.num_gens);
+  const auto nl = static_cast<std::size_t>(model.num_branches);
+  WarmStartIterate it;
+  const auto take = [slot](const device::DeviceBuffer<double>& from, std::vector<double>& to,
+                           std::size_t extent) {
+    to.resize(extent);
+    from.download_slice(slot * extent, to);
+  };
+  take(u, it.u, np);
+  take(v, it.v, np);
+  take(z, it.z, np);
+  take(y, it.y, np);
+  take(lz, it.lz, np);
+  take(bus_w, it.bus_w, nb);
+  take(bus_theta, it.bus_theta, nb);
+  take(gen_pg, it.gen_pg, ng);
+  take(gen_qg, it.gen_qg, ng);
+  take(branch_x, it.branch_x, 4 * nl);
+  take(branch_s, it.branch_s, 2 * nl);
+  take(branch_lambda, it.branch_lambda, 2 * nl);
+  it.beta = beta;
+  return it;
 }
 
 }  // namespace gridadmm::admm

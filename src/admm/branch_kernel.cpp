@@ -48,9 +48,7 @@ void update_group(const ModelView& m, const AdmmParams& params,
   double lam_ij[W] = {}, lam_ji[W] = {}, rho_t[W] = {}, eta[W] = {};
   for (int j = 0; j < n; ++j) {
     const ScenarioView& s = *lanes[static_cast<std::size_t>(j)];
-    if (s.branch_active != nullptr && s.branch_active[l] == 0) {
-      continue;  // outage
-    }
+    if (s.branch_active[l] == 0) continue;  // outage
     live.set(j, true);
     double d[8], yk[8], rhok[8];
     for (std::size_t k = 0; k < 8; ++k) {

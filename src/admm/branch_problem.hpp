@@ -11,9 +11,9 @@
 // TronProblem, so the reference TronSolver (the tests' yardstick for
 // lockstep TRON) runs on the same math.
 //
-// Split out of branch_kernel.hpp so AdmmState can own persistent
-// BranchWorkspace lanes without a header cycle (state.hpp -> this file;
-// branch_kernel.hpp -> state.hpp).
+// These types live apart from the kernel entry points (branch_kernel.hpp),
+// so admm::LoopControl (which carries BranchUpdateStats) and the TRON tests
+// use them without the kernel views.
 #pragma once
 
 #include <algorithm>
@@ -383,7 +383,7 @@ struct LaneSolvers {
 /// Per-worker-lane scratch for the branch updates: one-lane solvers (the
 /// single-scenario kernel and one-slot groups) and kBranchLanes-lane
 /// solvers (the fused batch kernel), so one lane serves every branch it
-/// processes. Owned persistently (AdmmState / the batch engine's shards)
+/// processes. Owned persistently (AdmmSolver / the batch engine's shards)
 /// and reused across all fused steps; the construction counter lets tests
 /// assert the hot path never rebuilds workspaces. The pad keeps the stats
 /// counters of neighboring lanes off the same cache line.

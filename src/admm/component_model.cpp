@@ -96,17 +96,11 @@ ComponentModel build_component_model(const grid::Network& net, const AdmmParams&
   // Buses.
   {
     const std::size_t nb = static_cast<std::size_t>(m.num_buses);
-    std::vector<double> pd(nb), qd(nb), gs(nb), bs(nb);
+    std::vector<double> gs(nb), bs(nb);
     for (int i = 0; i < m.num_buses; ++i) {
-      pd[i] = net.buses[i].pd;
-      qd[i] = net.buses[i].qd;
       gs[i] = net.buses[i].gs;
       bs[i] = net.buses[i].bs;
     }
-    m.bus_pd.resize(nb);
-    m.bus_pd.upload(pd);
-    m.bus_qd.resize(nb);
-    m.bus_qd.upload(qd);
     m.bus_gs.resize(nb);
     m.bus_gs.upload(gs);
     m.bus_bs.resize(nb);

@@ -34,9 +34,10 @@ enum BranchPair : int {
   kPairThj = 7
 };
 
-/// Device-resident, mostly-static problem data shared by all kernels.
-/// Loads and generator bounds are mutable (the tracking driver updates them
-/// between periods); everything else is fixed after build.
+/// Device-resident problem data shared by every scenario, fixed after
+/// build. What a scenario may vary (loads, pg bounds, outage masks) lives in
+/// its BatchAdmmState slot; gen_pmin/gen_pmax are the network's base bounds,
+/// the reference the ramp limits of tracking tighten.
 struct ComponentModel {
   int num_buses = 0;
   int num_gens = 0;
@@ -60,10 +61,10 @@ struct ComponentModel {
   device::DeviceBuffer<double> br_vbound;
   device::DeviceBuffer<double> br_rate2;
 
-  // Buses: loads/shunts plus CSR adjacency. For each bus, gens list gen
+  // Buses: shunts plus CSR adjacency. For each bus, gens list gen
   // indices; branch adjacency stores the *p-flow pair index* kp of each
   // incident branch end (kq = kp+1, kw = kp+4, kth = kp+5 by construction).
-  device::DeviceBuffer<double> bus_pd, bus_qd, bus_gs, bus_bs;
+  device::DeviceBuffer<double> bus_gs, bus_bs;
   device::DeviceBuffer<int> bus_gen_ptr, bus_gen_list;
   device::DeviceBuffer<int> bus_adj_ptr, bus_adj_kp;
 };

@@ -6,11 +6,11 @@
 //     admittances, adjacency, per-pair penalties rho);
 //   - ScenarioView: one scenario's iterate plus the data that may differ
 //     per scenario (loads, pg bounds, branch-outage mask, outer penalty).
-// A single-scenario solve is simply a ScenarioView over AdmmState with the
-// model's own load/bound buffers; a batched solve points each view at one
-// scenario's contiguous slices of a BatchAdmmState. Keeping one copy of the
-// math guarantees the fused batch solve is iterate-for-iterate identical to
-// S independent solver runs.
+// Every view points at one scenario's contiguous slices of a BatchAdmmState
+// (admm/batch_state.hpp): AdmmSolver binds slot 0 of its one-slot state,
+// the batch engine one slot per scenario. Keeping one copy of the math
+// guarantees the fused batch solve is iterate-for-iterate identical to S
+// independent solver runs.
 //
 // Residual slots are NaN-sticky: a NaN delta overwrites the slot (a plain
 // `delta > *slot` is false for NaN and would drop it), so a non-finite
@@ -21,7 +21,6 @@
 #include <cmath>
 
 #include "admm/component_model.hpp"
-#include "admm/state.hpp"
 
 namespace gridadmm::admm {
 
@@ -72,8 +71,7 @@ inline ModelView make_model_view(const ComponentModel& m) {
 
 /// Raw-pointer view of one scenario's iterate and per-scenario data. Every
 /// per-scenario array is contiguous: element k of an array sits at [k]
-/// past its view pointer, for the single-scenario state and for a batch
-/// slot alike.
+/// past its view pointer.
 struct ScenarioView {
   // Mutable iterate (device-resident).
   double* u = nullptr;
@@ -93,40 +91,14 @@ struct ScenarioView {
   const double* qd = nullptr;
   const double* pmin = nullptr;
   const double* pmax = nullptr;
-  /// In-service flags, one per branch; nullptr = every branch in service.
-  const unsigned char* branch_active = nullptr;
+  const unsigned char* branch_active = nullptr;  ///< in-service flags, one per branch
   double beta = 0.0;  ///< outer penalty on z = 0
 };
-
-/// Binds the single-scenario state as a view (the model's own load/bound
-/// buffers double as the per-scenario data).
-inline ScenarioView make_scenario_view(const ComponentModel& m, AdmmState& s) {
-  ScenarioView v;
-  v.u = s.u.data();
-  v.v = s.v.data();
-  v.z = s.z.data();
-  v.y = s.y.data();
-  v.lz = s.lz.data();
-  v.bus_w = s.bus_w.data();
-  v.bus_theta = s.bus_theta.data();
-  v.gen_pg = s.gen_pg.data();
-  v.gen_qg = s.gen_qg.data();
-  v.branch_x = s.branch_x.data();
-  v.branch_s = s.branch_s.data();
-  v.branch_lambda = s.branch_lambda.data();
-  v.pd = m.bus_pd.data();
-  v.qd = m.bus_qd.data();
-  v.pmin = m.gen_pmin.data();
-  v.pmax = m.gen_pmax.data();
-  v.branch_active = nullptr;
-  v.beta = s.beta;
-  return v;
-}
 
 /// True when consensus pair k belongs to an in-service component. Generator
 /// pairs are always active; branch pairs follow the outage mask.
 inline bool pair_active(const ModelView& m, const ScenarioView& s, int k) {
-  if (s.branch_active == nullptr || k < 2 * m.num_gens) return true;
+  if (k < 2 * m.num_gens) return true;
   return s.branch_active[(k - 2 * m.num_gens) / 8] != 0;
 }
 

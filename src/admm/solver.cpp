@@ -16,7 +16,7 @@ AdmmSolver::AdmmSolver(grid::Network net, AdmmParams params, device::Device* dev
       params_(params),
       dev_(dev != nullptr ? dev : &device::default_device()),
       model_(build_component_model(net_, params_)),
-      state_(AdmmState::zeros(model_)) {
+      state_(BatchAdmmState::single(model_, net_)) {
   require_positive_budgets(params_, "AdmmSolver");
   cold_start();
 }
@@ -96,25 +96,11 @@ void AdmmSolver::cold_start() {
   state_.branch_x.upload(bx);
   state_.branch_s.upload(bs);
   state_.branch_lambda.fill(0.0);
-  state_.beta = params_.beta0;
+  beta_ = params_.beta0;
 }
 
 WarmStartIterate AdmmSolver::export_iterate() const {
-  WarmStartIterate it;
-  it.u = state_.u.to_host();
-  it.v = state_.v.to_host();
-  it.z = state_.z.to_host();
-  it.y = state_.y.to_host();
-  it.lz = state_.lz.to_host();
-  it.bus_w = state_.bus_w.to_host();
-  it.bus_theta = state_.bus_theta.to_host();
-  it.gen_pg = state_.gen_pg.to_host();
-  it.gen_qg = state_.gen_qg.to_host();
-  it.branch_x = state_.branch_x.to_host();
-  it.branch_s = state_.branch_s.to_host();
-  it.branch_lambda = state_.branch_lambda.to_host();
-  it.beta = state_.beta;
-  return it;
+  return state_.export_slot(model_, 0, beta_);
 }
 
 void AdmmSolver::import_iterate(const WarmStartIterate& it) {
@@ -131,7 +117,7 @@ void AdmmSolver::import_iterate(const WarmStartIterate& it) {
   state_.branch_x.upload(it.branch_x);
   state_.branch_s.upload(it.branch_s);
   state_.branch_lambda.upload(it.branch_lambda);
-  state_.beta = std::max(it.beta, params_.beta0);
+  beta_ = std::max(it.beta, params_.beta0);
 }
 
 void AdmmSolver::prepare_warm_start() {
@@ -139,16 +125,17 @@ void AdmmSolver::prepare_warm_start() {
   // against it, and re-shrinking beta would let the z-update throw the
   // near-feasible iterate far from z = 0 (observed to roughly double the
   // warm-start iteration count). Only ensure beta is at least beta0.
-  state_.beta = std::max(state_.beta, params_.beta0);
+  beta_ = std::max(beta_, params_.beta0);
 }
 
 AdmmStats AdmmSolver::solve() {
   WallTimer timer;
-  LoopControl control(params_, state_.beta, record_history_, net_.name);
+  LoopControl control(params_, beta_, record_history_, net_.name);
   AdmmStats& stats = control.stats();
   // One scenario: the step launchers run over the view of slot 0.
   const ModelView m = make_model_view(model_);
-  ScenarioView view = make_scenario_view(model_, state_);
+  ScenarioView view = state_.view(model_, 0);
+  view.beta = beta_;
   const std::span<const ScenarioView> views(&view, 1);
   const int slots[] = {0};
   const int lanes = dev_->workers();
@@ -161,7 +148,7 @@ AdmmStats AdmmSolver::solve() {
   };
 
   for (;;) {
-    update_x(*dev_, m, params_, views, slots, state_.branch_lanes, &stats.branch);
+    update_x(*dev_, m, params_, views, slots, branch_lanes_, &stats.branch);
     update_v(*dev_, m, params_.two_level, views, slots, partial_primal, partial_dual, partial_z,
              row);
     const auto next = control.end_inner(collect(partial_primal), collect(partial_dual));
@@ -169,8 +156,8 @@ AdmmStats AdmmSolver::solve() {
     if (next == LoopControl::Next::kRetire) break;
     const bool more = control.end_outer(collect(partial_z));
     update_outer_multiplier(*dev_, m, views, slots, params_.lambda_bound);
-    state_.beta = control.beta();
-    view.beta = state_.beta;
+    beta_ = control.beta();
+    view.beta = beta_;
     if (!more) break;
   }
 
@@ -179,19 +166,8 @@ AdmmStats AdmmSolver::solve() {
 }
 
 grid::OpfSolution AdmmSolver::solution() const {
-  grid::OpfSolution sol = grid::OpfSolution::zeros(net_);
-  const auto w = state_.bus_w.to_host();
-  const auto theta = state_.bus_theta.to_host();
-  const auto pg = state_.gen_pg.to_host();
-  const auto qg = state_.gen_qg.to_host();
-  const double ref_angle = theta[net_.ref_bus];
-  for (int i = 0; i < net_.num_buses(); ++i) {
-    sol.vm[i] = std::sqrt(std::max(w[i], 1e-12));
-    sol.va[i] = theta[i] - ref_angle;
-  }
-  sol.pg = pg;
-  sol.qg = qg;
-  return sol;
+  return to_solution(net_, state_.bus_w.to_host(), state_.bus_theta.to_host(),
+                     state_.gen_pg.to_host(), state_.gen_qg.to_host());
 }
 
 void AdmmSolver::set_loads(std::span<const double> pd, std::span<const double> qd) {
@@ -199,8 +175,8 @@ void AdmmSolver::set_loads(std::span<const double> pd, std::span<const double> q
                     static_cast<int>(qd.size()) == net_.num_buses(),
                 "AdmmSolver::set_loads: size mismatch");
   require_valid(all_finite(pd) && all_finite(qd), "AdmmSolver::set_loads: non-finite load");
-  model_.bus_pd.upload(pd);
-  model_.bus_qd.upload(qd);
+  state_.pd.upload(pd);
+  state_.qd.upload(qd);
   for (int i = 0; i < net_.num_buses(); ++i) {
     net_.buses[i].pd = pd[i];
     net_.buses[i].qd = qd[i];
@@ -214,8 +190,8 @@ void AdmmSolver::set_generator_pg_bounds(std::span<const double> pmin,
                 "AdmmSolver::set_generator_pg_bounds: size mismatch");
   require_valid(all_finite(pmin) && all_finite(pmax),
                 "AdmmSolver::set_generator_pg_bounds: non-finite bound");
-  model_.gen_pmin.upload(pmin);
-  model_.gen_pmax.upload(pmax);
+  state_.pmin.upload(pmin);
+  state_.pmax.upload(pmax);
 }
 
 }  // namespace gridadmm::admm

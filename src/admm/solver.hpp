@@ -6,22 +6,23 @@
 //   xbar-update: buses (closed form, eq. (7))
 //   z-update   : closed form (eq. (6))
 //   y-update   : eq. (8)
-// All state is device-resident. Each inner iteration is two launches
-// (admm/step_kernels.hpp): the x-update, and the bus update fused with the
-// z/y update of each bus's own pairs; an ended outer iteration adds the
-// outer multiplier launch. No host<->device transfers inside the loop.
-// Warm starting reuses the full iterate (primal values and all
-// multipliers) across solves.
+// All state is device-resident, in a one-slot BatchAdmmState: a single
+// instance is the width-1 case of the batch engine's store. Each inner
+// iteration is two launches (admm/step_kernels.hpp): the x-update, and the
+// bus update fused with the z/y update of each bus's own pairs; an ended
+// outer iteration adds the outer multiplier launch. No host<->device
+// transfers inside the loop. Warm starting reuses the full iterate (primal
+// values and all multipliers) across solves.
 #pragma once
 
 #include <memory>
 #include <vector>
 
+#include "admm/batch_state.hpp"
 #include "admm/branch_kernel.hpp"
 #include "admm/component_model.hpp"
 #include "admm/loop_control.hpp"
 #include "admm/params.hpp"
-#include "admm/state.hpp"
 #include "admm/warm_start.hpp"
 #include "device/device.hpp"
 #include "grid/network.hpp"
@@ -77,18 +78,24 @@ class AdmmSolver {
   /// to at least beta0. The per-pair penalties rho stay this solver's own.
   void import_iterate(const WarmStartIterate& it);
 
-  /// Updates loads (per-unit, one entry per bus); used by tracking. Throws
-  /// ValidationError on a size mismatch or a non-finite entry.
+  /// Updates the slot's loads (per-unit, one entry per bus); used by
+  /// tracking. Throws ValidationError on a size mismatch or a non-finite
+  /// entry.
   void set_loads(std::span<const double> pd, std::span<const double> qd);
-  /// Updates real-power dispatch bounds (per-unit); used for ramp limits.
-  /// Throws ValidationError on a size mismatch or a non-finite entry.
+  /// Updates the slot's real-power dispatch bounds (per-unit); used for
+  /// ramp limits. Throws ValidationError on a size mismatch or a non-finite
+  /// entry.
   void set_generator_pg_bounds(std::span<const double> pmin, std::span<const double> pmax);
 
   [[nodiscard]] const grid::Network& network() const { return net_; }
   [[nodiscard]] const AdmmParams& params() const { return params_; }
   AdmmParams& params() { return params_; }
   [[nodiscard]] const ComponentModel& model() const { return model_; }
-  [[nodiscard]] const AdmmState& state() const { return state_; }
+  /// The one-slot iterate store.
+  [[nodiscard]] const BatchAdmmState& state() const { return state_; }
+  /// Per-device-lane TRON workspaces, sized on the first branch launch and
+  /// reused by every later launch and solve.
+  [[nodiscard]] const std::vector<BranchWorkspace>& branch_lanes() const { return branch_lanes_; }
   [[nodiscard]] bool record_history() const { return record_history_; }
   void set_record_history(bool record) { record_history_ = record; }
 
@@ -97,7 +104,9 @@ class AdmmSolver {
   AdmmParams params_;
   device::Device* dev_;
   ComponentModel model_;
-  AdmmState state_;
+  BatchAdmmState state_;
+  double beta_ = 0.0;  ///< outer penalty on z = 0
+  std::vector<BranchWorkspace> branch_lanes_;
   bool record_history_ = false;
 };
 

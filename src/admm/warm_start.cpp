@@ -28,21 +28,27 @@ void require_matches(const WarmStartIterate& it, const ComponentModel& model,
   }
 }
 
-grid::OpfSolution to_solution(const WarmStartIterate& it, const grid::Network& net) {
-  require_valid(it.bus_w.size() == static_cast<std::size_t>(net.num_buses()) &&
-                    it.bus_theta.size() == static_cast<std::size_t>(net.num_buses()) &&
-                    it.gen_pg.size() == static_cast<std::size_t>(net.num_generators()) &&
-                    it.gen_qg.size() == static_cast<std::size_t>(net.num_generators()),
+grid::OpfSolution to_solution(const grid::Network& net, std::span<const double> w,
+                              std::span<const double> theta, std::span<const double> pg,
+                              std::span<const double> qg) {
+  require_valid(w.size() == static_cast<std::size_t>(net.num_buses()) &&
+                    theta.size() == static_cast<std::size_t>(net.num_buses()) &&
+                    pg.size() == static_cast<std::size_t>(net.num_generators()) &&
+                    qg.size() == static_cast<std::size_t>(net.num_generators()),
                 "to_solution: iterate dimensions do not match the network");
   grid::OpfSolution sol = grid::OpfSolution::zeros(net);
-  const double ref_angle = it.bus_theta[static_cast<std::size_t>(net.ref_bus)];
-  for (int i = 0; i < net.num_buses(); ++i) {
-    sol.vm[i] = std::sqrt(std::max(it.bus_w[i], 1e-12));
-    sol.va[i] = it.bus_theta[i] - ref_angle;
+  const double ref_angle = theta[static_cast<std::size_t>(net.ref_bus)];
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    sol.vm[i] = std::sqrt(std::max(w[i], 1e-12));
+    sol.va[i] = theta[i] - ref_angle;
   }
-  sol.pg = it.gen_pg;
-  sol.qg = it.gen_qg;
+  sol.pg.assign(pg.begin(), pg.end());
+  sol.qg.assign(qg.begin(), qg.end());
   return sol;
+}
+
+grid::OpfSolution to_solution(const WarmStartIterate& it, const grid::Network& net) {
+  return to_solution(net, it.bus_w, it.bus_theta, it.gen_pg, it.gen_qg);
 }
 
 }  // namespace gridadmm::admm

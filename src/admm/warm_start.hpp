@@ -4,12 +4,13 @@
 // primal values and every multiplier — across solves of nearby instances.
 // WarmStartIterate packages that iterate as plain host arrays so it can
 // move between solvers, into the serve layer's SolutionCache, and across
-// batch slots: AdmmSolver::export_iterate / import_iterate round-trip a
-// single solver, BatchAdmmSolver::export_iterate slices one scenario out of
-// a batch, and BatchSolveOptions::initial_iterates seeds batch slots from
-// previously exported iterates.
+// batch slots. Both solvers export through BatchAdmmState::export_slot
+// (AdmmSolver's one slot, or one scenario of a batch);
+// AdmmSolver::import_iterate and BatchSolveOptions::initial_iterates seed
+// slots from previously exported iterates.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "admm/component_model.hpp"
@@ -44,11 +45,20 @@ struct WarmStartIterate {
 void require_matches(const WarmStartIterate& it, const ComponentModel& model,
                      const char* where);
 
-/// Maps the iterate's bus/generator variables onto an OpfSolution using the
-/// same convention as AdmmSolver::solution(): vm = sqrt(max(w, 1e-12)),
-/// va = theta - theta[ref]. This is how a (possibly non-converged) ADMM
-/// iterate seeds the MiniIPM fallback's primal — the consensus copies and
-/// multipliers are deliberately dropped, the IPM has no use for them.
+/// The one map from a scenario's bus and generator variables (host copies
+/// of one slot) to the solution the paper reports: vm = sqrt(max(w,
+/// 1e-12)), va = theta - theta[ref], dispatch as is. AdmmSolver::solution,
+/// the batch engine's per-wave capture and the IPM fallback's seed all run
+/// it. Throws ValidationError on a size mismatch with `net`.
+[[nodiscard]] grid::OpfSolution to_solution(const grid::Network& net, std::span<const double> w,
+                                            std::span<const double> theta,
+                                            std::span<const double> pg,
+                                            std::span<const double> qg);
+
+/// to_solution over an iterate's variables. This is how a (possibly
+/// non-converged) ADMM iterate seeds the MiniIPM fallback's primal — the
+/// consensus copies and multipliers are deliberately dropped, the IPM has
+/// no use for them.
 [[nodiscard]] grid::OpfSolution to_solution(const WarmStartIterate& it,
                                             const grid::Network& net);
 

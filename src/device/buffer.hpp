@@ -109,7 +109,7 @@ inline TransferStats transfer_stats() {
 
 /// Snapshot of the process-wide device-memory accounting. Every DeviceBuffer
 /// reports its resident bytes, so tests can assert memory-shape claims — in
-/// particular that ping-pong tracking keeps live batch state constant in the
+/// particular that chained batches keep live batch state constant in the
 /// horizon length instead of O(periods).
 struct AllocationStats {
   std::uint64_t live_bytes = 0;   ///< device bytes resident right now

@@ -1,9 +1,10 @@
 #include "device/fault.hpp"
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
-#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 
 #include "common/error.hpp"
@@ -24,28 +25,31 @@ double event_uniform(std::uint64_t seed, std::uint64_t k, std::uint64_t stream) 
   return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
 }
 
-double parse_probability(const std::string& key, const std::string& value) {
-  double p = 0.0;
-  try {
-    p = std::stod(value);
-  } catch (const std::exception&) {
+/// Parses all of `value` as a T or throws ValidationError. std::stod and
+/// friends stop at the first bad character ("0.5x" would read as 0.5,
+/// "0x10" as 0); std::from_chars reports where it stopped.
+template <typename T>
+T parse_full(const std::string& key, const std::string& value) {
+  T parsed{};
+  const char* last = value.data() + value.size();
+  const auto [end, ec] = std::from_chars(value.data(), last, parsed);
+  if (value.empty() || ec != std::errc{} || end != last) {
     throw ValidationError("FaultInjector: bad value for '" + key + "': " + value);
   }
+  return parsed;
+}
+
+double parse_probability(const std::string& key, const std::string& value) {
+  const double p = parse_full<double>(key, value);
   require_valid(std::isfinite(p) && p >= 0.0 && p <= 1.0,
                 "FaultInjector: '" + key + "' must be a probability in [0, 1]");
   return p;
 }
 
 std::uint64_t parse_count(const std::string& key, const std::string& value) {
-  try {
-    const long long n = std::stoll(value);
-    require_valid(n >= 0, "FaultInjector: '" + key + "' must be non-negative");
-    return static_cast<std::uint64_t>(n);
-  } catch (const ValidationError&) {
-    throw;
-  } catch (const std::exception&) {
-    throw ValidationError("FaultInjector: bad value for '" + key + "': " + value);
-  }
+  const long long n = parse_full<long long>(key, value);
+  require_valid(n >= 0, "FaultInjector: '" + key + "' must be non-negative");
+  return static_cast<std::uint64_t>(n);
 }
 
 /// Duration with an optional s/ms/us suffix (default seconds).
@@ -60,12 +64,7 @@ double parse_duration(const std::string& key, std::string value) {
   } else if (value.size() > 1 && value.back() == 's') {
     value.resize(value.size() - 1);
   }
-  double seconds = 0.0;
-  try {
-    seconds = std::stod(value) * scale;
-  } catch (const std::exception&) {
-    throw ValidationError("FaultInjector: bad duration for '" + key + "'");
-  }
+  const double seconds = parse_full<double>(key, value) * scale;
   require_valid(std::isfinite(seconds) && seconds >= 0.0,
                 "FaultInjector: '" + key + "' duration must be finite and non-negative");
   return seconds;
@@ -120,11 +119,7 @@ FaultPlan FaultInjector::parse_spec(const std::string& spec) {
       plan.latency_spike_probability = parse_probability(key, value.substr(0, colon));
       plan.latency_spike_seconds = parse_duration(key, value.substr(colon + 1));
     } else if (key == "shard") {
-      try {
-        plan.shard = std::stoi(value);
-      } catch (const std::exception&) {
-        throw ValidationError("FaultInjector: bad value for 'shard': " + value);
-      }
+      plan.shard = parse_full<int>(key, value);
       require_valid(plan.shard >= -1, "FaultInjector: 'shard' must be >= -1");
     } else if (key == "warmup") {
       plan.warmup = parse_count(key, value);

@@ -28,6 +28,8 @@
 //   cooldown=N      after each injected fault, skip the next N events —
 //                   faults are rare bursts, so a retried solve can succeed
 //   limit=K         stop injecting after K faults total (0 = unlimited)
+// N, K and D are decimal integers and P a decimal number; each value must
+// parse in full ("0.5x", "0x10" and "1e3" as a count are rejected).
 //
 // Decisions are pure functions of (seed, event index): the k-th intercepted
 // event draws from a splitmix64 stream, so a fixed plan yields the same
@@ -79,7 +81,7 @@ class FaultInjector {
   static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
 
   /// Parses the spec grammar documented above; throws ValidationError on
-  /// unknown keys or out-of-range values.
+  /// unknown keys, values that do not parse in full, or out-of-range values.
   static FaultPlan parse_spec(const std::string& spec);
 
   /// Installs `plan` and arms the injector (resets event/fault counters).

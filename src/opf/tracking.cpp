@@ -139,10 +139,9 @@ BatchTrackingResult run_batched_tracking_impl(const grid::Network& net,
   }
 
   // One fused batch per period: wave t holds every profile's period t.
-  // Ping-pong keeps only the current and previous period's state resident,
-  // so device memory stays O(2 x profiles x case) for any horizon length.
+  // Only the current and previous period's state stay resident, so device
+  // memory is O(2 x profiles x case) for any horizon length.
   scenario::BatchSolveOptions solve_options;
-  solve_options.ping_pong = options.ping_pong;
   solve_options.trace = options.trace;
   solve_options.convergence_sample_interval = options.convergence_sample_interval;
   if (options.trace) obs::Tracer::instance().enable();

@@ -30,10 +30,6 @@ struct TrackingOptions {
   std::uint64_t profile_seed = 7;
   bool run_ipm = true;          ///< also track with the baseline
   ipm::IpmOptions ipm;
-  /// Batched mode only: run the horizon in two-wave ping-pong buffers, so
-  /// live batch-state memory is O(2 x profiles x case) instead of
-  /// O(periods x profiles x case). Results are identical either way.
-  bool ping_pong = true;
   /// Enables the process-wide obs::Tracer for the run: sequential mode
   /// emits one tracking.period span per period, batched mode traces each
   /// period's fused wave (see scenario::BatchSolveOptions::trace).
@@ -97,8 +93,8 @@ struct BatchTrackingResult {
 /// device, warm started from the previous period with the same ramp limits
 /// as the sequential simulator — instead of num_profiles sequential
 /// tracking runs. This is the paper's Section IV-C experiment widened
-/// across scenarios. By default (TrackingOptions::ping_pong) the periods
-/// run through a two-buffer ping-pong pair, so device memory stays
+/// across scenarios. Each shard keeps only the current and previous
+/// period's iterates resident (scenario::BatchPlan), so device memory stays
 /// constant in the horizon length.
 BatchTrackingResult run_batched_tracking(const grid::Network& net,
                                          const admm::AdmmParams& params,

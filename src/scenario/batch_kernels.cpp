@@ -15,8 +15,7 @@ void batch_chain_state(device::Device& dev, const admm::ComponentModel& model,
   // num_pairs = 2*ngens + 8*nbranches dominates every other per-scenario
   // extent on a connected network, so one launch over |links| * num_pairs
   // blocks covers all arrays (each block guards the shorter extents).
-  // src_state and dst_state may be the same object (in-place chain) or the
-  // two halves of a ping-pong pair; slots are local to their own state.
+  // Slots are local to their own state.
   const auto su = src_state.u.span();
   const auto sv = src_state.v.span();
   const auto sz = src_state.z.span();

@@ -13,10 +13,9 @@
 namespace gridadmm::scenario {
 
 /// Warm-start chaining: dst's iterate (u, v, z, y, lz, bus, gen, branch
-/// arrays) is copied from src, entirely on device. `src` is
-/// a slot of `src_state` and `dst` a slot of `dst_state`; passing the same
-/// state for both is the classic in-place chain, distinct states are the
-/// ping-pong wave copy (previous wave's buffer -> current wave's buffer).
+/// arrays) is copied from src, entirely on device. `src` is a slot of
+/// `src_state` (the previous wave's buffer) and `dst` a slot of `dst_state`
+/// (the current wave's).
 struct ChainLink {
   int dst = -1;
   int src = -1;

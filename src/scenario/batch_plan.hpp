@@ -2,9 +2,9 @@
 //
 // A plan decides, before any device memory is touched, (a) which shard —
 // i.e. which device of a DevicePool — executes each scenario, and (b) which
-// slot of that shard's scenario-major BatchAdmmState the scenario
-// occupies. Execution then runs the existing fused kernels per shard,
-// concurrently, without any kernel-level changes.
+// slot of that shard's wave buffers the scenario occupies. Execution then
+// runs the existing fused kernels per shard, concurrently, without any
+// kernel-level changes.
 //
 // Shard assignment is deterministic: warm-start chain roots are dealt
 // round-robin over the shards in scenario order (slot s with no parent goes
@@ -14,14 +14,16 @@
 // every scenario lands on shard 0 and the plan degenerates to the
 // single-device layout, so the sharded solve is a strict generalization.
 //
-// Ping-pong mode: instead of one persistent slot per scenario, slots are
-// assigned per wave and the shard allocates two buffers of max-wave-size
-// slots. Wave d executes in buffer d % 2 while buffer (d - 1) % 2 still
-// holds the parent wave's iterates for on-device chaining; wave d + 1 then
-// reuses the parent buffer. Live batch-state memory is O(2 x wave x case)
-// — constant in the horizon length — instead of O(S x case).
+// Slots are per wave. Only consecutive waves interact (wave d chains from
+// wave d - 1), so each shard holds min(2, num_waves) BatchAdmmStates sized
+// to its largest wave: wave d executes in buffer d % 2 while buffer
+// (d - 1) % 2 still holds the parent wave's iterates for the on-device
+// chain copy, and wave d + 1 then reuses the parent buffer. Live
+// batch-state memory is constant in the horizon length, and a one-wave set
+// holds a single buffer.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -31,29 +33,28 @@ namespace gridadmm::scenario {
 
 struct BatchPlan {
   int num_shards = 1;
-  bool ping_pong = false;
 
   std::vector<int> shard_of;  ///< global scenario -> shard
-  /// Global scenario -> slot within its shard's state. In ping-pong mode
-  /// the slot is local to the scenario's wave buffer (wave_of[s] % 2).
+  /// Global scenario -> slot within its shard's wave buffer (rank within
+  /// its (wave, shard) group).
   std::vector<int> slot_of;
   std::vector<int> wave_of;  ///< global scenario -> chain depth (wave index)
 
-  /// Scenarios each shard owns, in scenario order (all waves).
-  std::vector<std::vector<int>> shard_scenarios;
   /// [wave][shard] -> global scenario ids of that wave on that shard.
   std::vector<std::vector<std::vector<int>>> wave_shards;
-  /// Slots each shard's state buffer must hold: the shard's scenario count,
-  /// or its largest single-wave count in ping-pong mode.
+  /// Slots each of a shard's wave buffers holds: its largest wave.
   std::vector<int> shard_capacity;
 
   [[nodiscard]] int num_waves() const { return static_cast<int>(wave_shards.size()); }
+  /// Wave buffers per shard.
+  [[nodiscard]] int num_buffers() const { return std::min(2, num_waves()); }
+  /// The buffer scenario s runs (and stays resident) in.
+  [[nodiscard]] int buffer_of(int s) const { return wave_of[static_cast<std::size_t>(s)] % 2; }
 
   /// Builds the deterministic plan for `scenarios` grouped into `waves`
   /// (ScenarioSet::waves() order: wave d chains from wave d - 1).
   static BatchPlan create(std::span<const Scenario> scenarios,
-                          const std::vector<std::vector<int>>& waves, int num_shards,
-                          bool ping_pong);
+                          const std::vector<std::vector<int>>& waves, int num_shards);
 };
 
 }  // namespace gridadmm::scenario

@@ -17,28 +17,6 @@ namespace gridadmm::scenario {
 
 namespace {
 
-/// Extracts slot `s`'s solution from host copies of the batch's bus and
-/// generator arrays (slot s is the slice starting at s * extent).
-grid::OpfSolution slice_solution(const grid::Network& net, std::span<const double> w,
-                                 std::span<const double> theta, std::span<const double> pg,
-                                 std::span<const double> qg, int s) {
-  grid::OpfSolution sol = grid::OpfSolution::zeros(net);
-  const auto nb = static_cast<std::size_t>(net.num_buses());
-  const auto ng = static_cast<std::size_t>(net.num_generators());
-  const auto bus0 = static_cast<std::size_t>(s) * nb;
-  const auto gen0 = static_cast<std::size_t>(s) * ng;
-  const double ref_angle = theta[bus0 + static_cast<std::size_t>(net.ref_bus)];
-  for (std::size_t i = 0; i < nb; ++i) {
-    sol.vm[i] = std::sqrt(std::max(w[bus0 + i], 1e-12));
-    sol.va[i] = theta[bus0 + i] - ref_angle;
-  }
-  for (std::size_t g = 0; g < ng; ++g) {
-    sol.pg[g] = pg[gen0 + g];
-    sol.qg[g] = qg[gen0 + g];
-  }
-  return sol;
-}
-
 /// Swaps a reusable evaluation copy's loads for the scenario's.
 void apply_scenario_loads(grid::Network& net, const Scenario& sc) {
   for (int i = 0; i < net.num_buses(); ++i) {
@@ -110,29 +88,25 @@ admm::AdmmParams effective_params(const admm::AdmmParams& base, const ScenarioCo
   return p;
 }
 
-void BatchAdmmSolver::ensure_storage(bool ping_pong) {
-  if (storage_ready_ && plan_.ping_pong == ping_pong) return;
-  plan_ = BatchPlan::create(scenarios_, waves_, num_shards(), ping_pong);
-  shards_.clear();
+void BatchAdmmSolver::ensure_storage() {
+  if (!shards_.empty()) return;
+  plan_ = BatchPlan::create(scenarios_, waves_, num_shards());
   shards_.resize(devs_.size());
-  const int buffers = ping_pong ? 2 : 1;
   for (int d = 0; d < num_shards(); ++d) {
     Shard& shard = shards_[static_cast<std::size_t>(d)];
     shard.dev = devs_[static_cast<std::size_t>(d)];
     const int capacity = plan_.shard_capacity[static_cast<std::size_t>(d)];
-    shard.states.reserve(static_cast<std::size_t>(buffers));
-    shard.views.resize(static_cast<std::size_t>(buffers));
-    for (int b = 0; b < buffers; ++b) {
+    shard.states.reserve(static_cast<std::size_t>(plan_.num_buffers()));
+    shard.views.resize(static_cast<std::size_t>(plan_.num_buffers()));
+    for (int b = 0; b < plan_.num_buffers(); ++b) {
       shard.states.push_back(admm::BatchAdmmState::zeros(model_, capacity));
       auto& views = shard.views[static_cast<std::size_t>(b)];
-      views.clear();
       views.reserve(static_cast<std::size_t>(capacity));
       for (int slot = 0; slot < capacity; ++slot) {
         views.push_back(shard.states[static_cast<std::size_t>(b)].view(model_, slot));
       }
     }
   }
-  storage_ready_ = true;
 }
 
 void BatchAdmmSolver::set_beta(int s, double value) {
@@ -140,9 +114,8 @@ void BatchAdmmSolver::set_beta(int s, double value) {
   // inheritance, exports), the scenario's current view feeds the kernels.
   beta_[static_cast<std::size_t>(s)] = value;
   Shard& shard = shards_[static_cast<std::size_t>(plan_.shard_of[static_cast<std::size_t>(s)])];
-  const int buf = buffer_of(s);
   const auto slot = static_cast<std::size_t>(plan_.slot_of[static_cast<std::size_t>(s)]);
-  shard.views[static_cast<std::size_t>(buf)][slot].beta = value;
+  shard.views[static_cast<std::size_t>(plan_.buffer_of(s))][slot].beta = value;
 }
 
 admm::WarmStartIterate BatchAdmmSolver::solve_base(ScenarioReport& report) {
@@ -173,8 +146,8 @@ void BatchAdmmSolver::stage_buffer(Shard& shard, int buf, std::span<const int> g
 
   // Chained slots need no iterate staging: the wave loop's on-device chain
   // copy overwrites every iterate array before a kernel reads them, and
-  // their beta is set by the chain inheritance. When the whole buffer is
-  // chained — every ping-pong wave after the first — the 12 iterate uploads
+  // their beta is set by the chain inheritance. When the whole wave is
+  // chained — every tracking wave after the first — the 12 iterate uploads
   // are skipped entirely; only the per-scenario problem data (loads, pg
   // bounds, outage masks) is staged.
   bool stage_iterates = false;
@@ -306,10 +279,8 @@ void BatchAdmmSolver::run_shard_wave(int shard_id, int wave_index,
   const obs::TraceSpan wave_span("solver.wave", "wave", static_cast<std::uint64_t>(wave_index),
                                  "scenarios", static_cast<std::uint64_t>(wave.size()));
 
-  const int buf = plan_.ping_pong ? wave_index % 2 : 0;
-  const int src_buf = plan_.ping_pong ? (wave_index + 1) % 2 : 0;
+  const int buf = wave_index % 2;
   admm::BatchAdmmState& dst_state = shard.states[static_cast<std::size_t>(buf)];
-  const admm::BatchAdmmState& src_state = shard.states[static_cast<std::size_t>(src_buf)];
 
   std::vector<ChainLink> links;
   std::vector<RampLink> ramps;
@@ -323,6 +294,9 @@ void BatchAdmmSolver::run_shard_wave(int shard_id, int wave_index,
   }
   obs::PhaseTimer chain_timer;
   if (!links.empty()) {
+    // Parents ran in wave d - 1, whose buffer is still resident.
+    const admm::BatchAdmmState& src_state =
+        shard.states[static_cast<std::size_t>((wave_index + 1) % 2)];
     batch_chain_state(*shard.dev, model_, src_state, dst_state, links);
     for (const int s : wave) {
       const auto& sc = scenarios_[static_cast<std::size_t>(s)];
@@ -330,8 +304,8 @@ void BatchAdmmSolver::run_shard_wave(int shard_id, int wave_index,
       // prepare_warm_start semantics.
       set_beta(s, std::max(beta_[static_cast<std::size_t>(sc.chain_from)], params_.beta0));
     }
+    if (!ramps.empty()) batch_apply_ramp(*shard.dev, model_, src_state, dst_state, ramps);
   }
-  if (!ramps.empty()) batch_apply_ramp(*shard.dev, model_, src_state, dst_state, ramps);
   shard.phases.chain_seconds += chain_timer.take("fused.chain");
 
   run_fused(shard, buf, wave, options);
@@ -478,8 +452,7 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
 }
 
 void BatchAdmmSolver::evaluate_shard(int shard_id, int buf, std::span<const int> globals,
-                                     ScenarioReport& report, grid::Network& eval_net,
-                                     bool capture) {
+                                     ScenarioReport& report, grid::Network& eval_net) {
   if (globals.empty()) return;
   const admm::BatchAdmmState& state =
       shards_[static_cast<std::size_t>(shard_id)].states[static_cast<std::size_t>(buf)];
@@ -487,15 +460,20 @@ void BatchAdmmSolver::evaluate_shard(int shard_id, int buf, std::span<const int>
   const auto theta = state.bus_theta.to_host();
   const auto pg = state.gen_pg.to_host();
   const auto qg = state.gen_qg.to_host();
+  const auto nb = static_cast<std::size_t>(model_.num_buses);
+  const auto ng = static_cast<std::size_t>(model_.num_gens);
   for (const int s : globals) {
     const auto& sc = scenarios_[static_cast<std::size_t>(s)];
-    const int slot = plan_.slot_of[static_cast<std::size_t>(s)];
-    auto sol = slice_solution(net_, w, theta, pg, qg, slot);
+    const auto slot = static_cast<std::size_t>(plan_.slot_of[static_cast<std::size_t>(s)]);
+    auto& sol = solutions_[static_cast<std::size_t>(s)];
+    sol = admm::to_solution(net_, std::span(w).subspan(slot * nb, nb),
+                            std::span(theta).subspan(slot * nb, nb),
+                            std::span(pg).subspan(slot * ng, ng),
+                            std::span(qg).subspan(slot * ng, ng));
     apply_scenario_loads(eval_net, sc);
     report.records[static_cast<std::size_t>(s)] =
         make_record(s, sc, ctrl_[static_cast<std::size_t>(s)].stats(),
                     scenario_quality(eval_net, sc, sol));
-    if (capture) pp_solutions_[static_cast<std::size_t>(s)] = std::move(sol);
   }
 }
 
@@ -506,7 +484,7 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
   if (options.trace) obs::Tracer::instance().enable();
   const obs::TraceSpan solve_span("solver.solve", "scenarios", static_cast<std::uint64_t>(S),
                                   "shards", static_cast<std::uint64_t>(num_shards()));
-  ensure_storage(options.ping_pong);
+  ensure_storage();
   report.num_shards = num_shards();
   ctrl_.assign(static_cast<std::size_t>(S), admm::LoopControl{});
   beta_.assign(static_cast<std::size_t>(S), 0.0);
@@ -516,7 +494,7 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
     shard.phases = PhaseBreakdown{};
     shard.fused_steps = 0;
   }
-  if (plan_.ping_pong) pp_solutions_.assign(static_cast<std::size_t>(S), grid::OpfSolution{});
+  solutions_.assign(static_cast<std::size_t>(S), grid::OpfSolution{});
   if (options.convergence_sample_interval > 0) {
     traj_.assign(static_cast<std::size_t>(S), obs::ConvergenceTrajectory{});
     tron_accum_.assign(static_cast<std::size_t>(S), 0);
@@ -537,19 +515,12 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
     }
   }
 
-  // ---- Plan done; execute: base solve, stage, then the wave loop ----
+  // ---- Plan done; execute: base solve, then stage/run/capture per wave ----
   admm::WarmStartIterate base;
   const admm::WarmStartIterate* base_ptr = nullptr;
   if (options.warm_start_from_base) {
     base = solve_base(report);
     base_ptr = &base;
-  }
-
-  if (!plan_.ping_pong) {
-    for (int d = 0; d < num_shards(); ++d) {
-      stage_buffer(shards_[static_cast<std::size_t>(d)], 0,
-                   plan_.shard_scenarios[static_cast<std::size_t>(d)], base_ptr, options);
-    }
   }
 
   std::vector<device::LaunchStats> launches_before;
@@ -596,39 +567,26 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
   };
 
   for (int wave_index = 0; wave_index < plan_.num_waves(); ++wave_index) {
-    if (plan_.ping_pong) {
-      // Per-wave staging reuses the buffer wave_index - 2 ran in; its
-      // results were captured at that wave's end. Staging and evaluation
-      // transfers stay outside the iteration-transfer accounting window,
-      // mirroring the persistent path where both happen outside the loop.
-      const int buf = wave_index % 2;
-      for (int d = 0; d < num_shards(); ++d) {
-        stage_buffer(
-            shards_[static_cast<std::size_t>(d)], buf,
-            plan_.wave_shards[static_cast<std::size_t>(wave_index)][static_cast<std::size_t>(d)],
-            wave_index == 0 ? base_ptr : nullptr, options);
-      }
-      const auto transfers_before = device::transfer_stats();
-      WallTimer wave_timer;
-      run_wave(wave_index);
-      fused_seconds += wave_timer.seconds();
-      const auto transfers_after = device::transfer_stats();
-      loop_transfers += (transfers_after.host_to_device - transfers_before.host_to_device) +
-                        (transfers_after.device_to_host - transfers_before.device_to_host);
-      for (int d = 0; d < num_shards(); ++d) {
-        evaluate_shard(
-            d, buf,
-            plan_.wave_shards[static_cast<std::size_t>(wave_index)][static_cast<std::size_t>(d)],
-            report, eval_net, /*capture=*/true);
-      }
-    } else {
-      const auto transfers_before = device::transfer_stats();
-      WallTimer wave_timer;
-      run_wave(wave_index);
-      fused_seconds += wave_timer.seconds();
-      const auto transfers_after = device::transfer_stats();
-      loop_transfers += (transfers_after.host_to_device - transfers_before.host_to_device) +
-                        (transfers_after.device_to_host - transfers_before.device_to_host);
+    // Staging reuses the buffer wave_index - 2 ran in; its results were
+    // captured at that wave's end. The base fan-out seeds chain roots, all
+    // of which are in wave 0. Staging and capture transfers stay outside
+    // the iteration-transfer accounting window.
+    const int buf = wave_index % 2;
+    const auto& wave_shards = plan_.wave_shards[static_cast<std::size_t>(wave_index)];
+    for (int d = 0; d < num_shards(); ++d) {
+      stage_buffer(shards_[static_cast<std::size_t>(d)], buf,
+                   wave_shards[static_cast<std::size_t>(d)],
+                   wave_index == 0 ? base_ptr : nullptr, options);
+    }
+    const auto transfers_before = device::transfer_stats();
+    WallTimer wave_timer;
+    run_wave(wave_index);
+    fused_seconds += wave_timer.seconds();
+    const auto transfers_after = device::transfer_stats();
+    loop_transfers += (transfers_after.host_to_device - transfers_before.host_to_device) +
+                      (transfers_after.device_to_host - transfers_before.device_to_host);
+    for (int d = 0; d < num_shards(); ++d) {
+      evaluate_shard(d, buf, wave_shards[static_cast<std::size_t>(d)], report, eval_net);
     }
   }
   report.solve_seconds = fused_seconds;
@@ -641,13 +599,6 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
     report.launch_stats += report.shard_launches.back();
   }
 
-  // ---- Evaluation (persistent mode: downloads happen after the loop) ----
-  if (!plan_.ping_pong) {
-    for (int d = 0; d < num_shards(); ++d) {
-      evaluate_shard(d, 0, plan_.shard_scenarios[static_cast<std::size_t>(d)], report, eval_net,
-                     /*capture=*/false);
-    }
-  }
   report.stats.reserve(static_cast<std::size_t>(S));
   for (const auto& control : ctrl_) report.stats.push_back(control.stats());
   if (options.convergence_sample_interval > 0) report.convergence = traj_;
@@ -661,89 +612,27 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
   return report;
 }
 
-grid::OpfSolution BatchAdmmSolver::solution(int s) const {
+const grid::OpfSolution& BatchAdmmSolver::solution(int s) const {
   require(s >= 0 && s < num_scenarios(), "BatchAdmmSolver::solution: scenario out of range");
   require(solved_, "BatchAdmmSolver::solution: valid only after solve()");
-  if (plan_.ping_pong) return pp_solutions_[static_cast<std::size_t>(s)];
-  // Slot-slice download: move only scenario s's data, not the batch.
-  const Shard& shard =
-      shards_[static_cast<std::size_t>(plan_.shard_of[static_cast<std::size_t>(s)])];
-  const admm::BatchAdmmState& state = shard.states.front();
-  const auto nb = static_cast<std::size_t>(model_.num_buses);
-  const auto ng = static_cast<std::size_t>(model_.num_gens);
-  const auto slot = static_cast<std::size_t>(plan_.slot_of[static_cast<std::size_t>(s)]);
-  std::vector<double> w(nb), theta(nb), pg(ng), qg(ng);
-  state.bus_w.download_slice(slot * nb, w);
-  state.bus_theta.download_slice(slot * nb, theta);
-  state.gen_pg.download_slice(slot * ng, pg);
-  state.gen_qg.download_slice(slot * ng, qg);
-  return slice_solution(net_, w, theta, pg, qg, /*s=*/0);
+  return solutions_[static_cast<std::size_t>(s)];
 }
 
 admm::WarmStartIterate BatchAdmmSolver::export_iterate(int s) const {
   require(s >= 0 && s < num_scenarios(), "BatchAdmmSolver::export_iterate: scenario out of range");
   require(solved_, "BatchAdmmSolver::export_iterate: valid only after solve()");
-  if (plan_.ping_pong) {
-    require(plan_.wave_of[static_cast<std::size_t>(s)] >= plan_.num_waves() - 2,
-            "BatchAdmmSolver::export_iterate: scenario's wave buffer was reused (ping-pong "
-            "keeps only the last two waves resident)");
-  }
+  require(plan_.wave_of[static_cast<std::size_t>(s)] >= plan_.num_waves() - 2,
+          "BatchAdmmSolver::export_iterate: scenario's wave buffer was reused (only the last "
+          "two waves stay resident)");
   const Shard& shard =
       shards_[static_cast<std::size_t>(plan_.shard_of[static_cast<std::size_t>(s)])];
-  const admm::BatchAdmmState& state = shard.states[static_cast<std::size_t>(buffer_of(s))];
-  const auto np = static_cast<std::size_t>(model_.num_pairs);
-  const auto nb = static_cast<std::size_t>(model_.num_buses);
-  const auto ng = static_cast<std::size_t>(model_.num_gens);
-  const auto nl = static_cast<std::size_t>(model_.num_branches);
-  const auto slot = static_cast<std::size_t>(plan_.slot_of[static_cast<std::size_t>(s)]);
-  admm::WarmStartIterate it;
-  it.u.resize(np);
-  it.v.resize(np);
-  it.z.resize(np);
-  it.y.resize(np);
-  it.lz.resize(np);
-  it.bus_w.resize(nb);
-  it.bus_theta.resize(nb);
-  it.gen_pg.resize(ng);
-  it.gen_qg.resize(ng);
-  it.branch_x.resize(4 * nl);
-  it.branch_s.resize(2 * nl);
-  it.branch_lambda.resize(2 * nl);
-  state.u.download_slice(slot * np, it.u);
-  state.v.download_slice(slot * np, it.v);
-  state.z.download_slice(slot * np, it.z);
-  state.y.download_slice(slot * np, it.y);
-  state.lz.download_slice(slot * np, it.lz);
-  state.bus_w.download_slice(slot * nb, it.bus_w);
-  state.bus_theta.download_slice(slot * nb, it.bus_theta);
-  state.gen_pg.download_slice(slot * ng, it.gen_pg);
-  state.gen_qg.download_slice(slot * ng, it.gen_qg);
-  state.branch_x.download_slice(slot * 4 * nl, it.branch_x);
-  state.branch_s.download_slice(slot * 2 * nl, it.branch_s);
-  state.branch_lambda.download_slice(slot * 2 * nl, it.branch_lambda);
-  it.beta = beta_[static_cast<std::size_t>(s)];
-  return it;
+  return shard.states[static_cast<std::size_t>(plan_.buffer_of(s))].export_slot(
+      model_, plan_.slot_of[static_cast<std::size_t>(s)], beta_[static_cast<std::size_t>(s)]);
 }
 
-std::vector<grid::OpfSolution> BatchAdmmSolver::solutions() const {
+const std::vector<grid::OpfSolution>& BatchAdmmSolver::solutions() const {
   require(solved_, "BatchAdmmSolver::solutions: valid only after solve()");
-  if (plan_.ping_pong) return pp_solutions_;
-  std::vector<grid::OpfSolution> result(static_cast<std::size_t>(num_scenarios()));
-  for (int d = 0; d < num_shards(); ++d) {
-    const Shard& shard = shards_[static_cast<std::size_t>(d)];
-    const auto& owned = plan_.shard_scenarios[static_cast<std::size_t>(d)];
-    if (owned.empty()) continue;
-    const admm::BatchAdmmState& state = shard.states.front();
-    const auto w = state.bus_w.to_host();
-    const auto theta = state.bus_theta.to_host();
-    const auto pg = state.gen_pg.to_host();
-    const auto qg = state.gen_qg.to_host();
-    for (const int s : owned) {
-      result[static_cast<std::size_t>(s)] =
-          slice_solution(net_, w, theta, pg, qg, plan_.slot_of[static_cast<std::size_t>(s)]);
-    }
-  }
-  return result;
+  return solutions_;
 }
 
 ScenarioReport solve_sequential(const ScenarioSet& set, const admm::AdmmParams& params,

@@ -5,8 +5,9 @@
 // partitions the scenario slots into shard ranges (deterministic
 // round-robin of chain roots over the pool's devices; chained scenarios
 // follow their parent so period-to-period chaining stays on one device).
-// Each shard owns a scenario-major BatchAdmmState on its own device and
-// executes the fused step launches over its local slots — shards run
+// Each shard owns min(2, num_waves) scenario-major BatchAdmmStates on its
+// own device and executes the fused step launches over its local slots of
+// the current wave's buffer — shards run
 // concurrently, one thread per shard, with no kernel-level changes. Every
 // scenario drives its own admm::LoopControl, the controller AdmmSolver::solve
 // drives (inexact inner tolerance schedule, outer augmented-Lagrangian
@@ -25,12 +26,14 @@
 // *block* counts scale as ~S/D — the ExaTron one-block-per-subproblem
 // execution model widened across scenarios and then dealt across devices.
 //
-// Warm-start seeding: with `warm_start_from_base` the base case is solved
-// once and its full iterate fans out to every chain-root scenario; tracking
-// sequences chain period-to-period on device (state copy + ramp-bound
-// kernels), wave by wave. With `ping_pong`, chained waves run in a
-// two-buffer ping-pong pair per shard and live batch-state memory stays
-// constant in the horizon length (see scenario/batch_plan.hpp).
+// Waves run one after another, each in its own buffer (see
+// scenario/batch_plan.hpp): stage the wave's slots, chain and ramp from the
+// previous wave's buffer on device, run the fused loop, then capture the
+// wave's records and solutions. Live batch-state memory is constant in the
+// horizon length. Warm-start seeding: with `warm_start_from_base` the base
+// case is solved once and its full iterate fans out to every chain-root
+// scenario; tracking sequences chain period-to-period on device (state
+// copy + ramp-bound kernels), wave by wave.
 #pragma once
 
 #include <span>
@@ -75,14 +78,6 @@ struct BatchSolveOptions {
   /// convergence vector stays empty). Sampling is observation-only:
   /// iterates are bit-identical with it on or off.
   int convergence_sample_interval = 0;
-  /// Two-buffer wave memory for chained sets: each shard allocates a pair
-  /// of max-wave-size states instead of one O(S) state; wave d + 1 chains
-  /// on device from wave d's buffer and reuses wave d - 1's. Live
-  /// batch-state memory is constant in the horizon length. Per-wave
-  /// results are captured at wave end, so solution()/solutions() stay
-  /// valid; export_iterate() only for the last two waves (earlier iterates
-  /// have been overwritten by design).
-  bool ping_pong = false;
 };
 
 class BatchAdmmSolver {
@@ -104,22 +99,18 @@ class BatchAdmmSolver {
   /// Solves every scenario (fused, wave by wave along warm-start chains).
   ScenarioReport solve(const BatchSolveOptions& options = {});
 
-  /// Extracts scenario s's solution (valid after solve()). Downloads only
-  /// scenario s's contiguous slices (4 transfers of one scenario's data, not
-  /// the whole batch); extracting every scenario is still cheaper via
-  /// solutions(), which amortizes one full download per buffer. In
-  /// ping-pong mode returns the copy captured at the scenario's wave end
-  /// (no transfer).
-  [[nodiscard]] grid::OpfSolution solution(int s) const;
+  /// Scenario s's solution, captured at the end of its wave (valid from
+  /// solve() until the next one; moves no data).
+  [[nodiscard]] const grid::OpfSolution& solution(int s) const;
 
   /// Snapshots scenario s's full iterate (slice downloads only) as a
   /// portable WarmStartIterate — what the serve layer's SolutionCache
-  /// stores after a batch completes. In ping-pong mode only scenarios of
-  /// the last two waves are still resident; earlier ones throw.
+  /// stores after a batch completes. Only scenarios of the last two waves
+  /// are still resident; earlier ones throw (their buffer was reused).
   [[nodiscard]] admm::WarmStartIterate export_iterate(int s) const;
 
-  /// Extracts every scenario's solution with one download per buffer.
-  [[nodiscard]] std::vector<grid::OpfSolution> solutions() const;
+  /// Every scenario's solution, captured at the end of its wave.
+  [[nodiscard]] const std::vector<grid::OpfSolution>& solutions() const;
 
   [[nodiscard]] const grid::Network& network() const { return net_; }
   [[nodiscard]] const admm::ComponentModel& model() const { return model_; }
@@ -131,12 +122,12 @@ class BatchAdmmSolver {
   [[nodiscard]] const BatchPlan& plan() const { return plan_; }
 
  private:
-  /// One shard's execution context: its device, its state buffer(s) (one,
-  /// or a ping-pong pair), and per-lane scratch. Shards touch disjoint
-  /// scenarios, so they run concurrently without synchronization.
+  /// One shard's execution context: its device, its wave buffers, and
+  /// per-lane scratch. Shards touch disjoint scenarios, so they run
+  /// concurrently without synchronization.
   struct Shard {
     device::Device* dev = nullptr;
-    std::vector<admm::BatchAdmmState> states;            ///< 1, or 2 in ping-pong
+    std::vector<admm::BatchAdmmState> states;            ///< BatchPlan::num_buffers()
     std::vector<std::vector<admm::ScenarioView>> views;  ///< [buffer][slot]
     std::vector<admm::BranchWorkspace> branch_lanes;     ///< reused across fused steps
     admm::BranchUpdateStats branch_stats;
@@ -148,10 +139,8 @@ class BatchAdmmSolver {
     std::uint64_t fused_steps = 0;  ///< while-loop iterations executed
   };
 
-  void ensure_storage(bool ping_pong);
-  [[nodiscard]] int buffer_of(int s) const {
-    return plan_.ping_pong ? plan_.wave_of[static_cast<std::size_t>(s)] % 2 : 0;
-  }
+  /// Plans and allocates the shards' wave buffers on the first solve.
+  void ensure_storage();
   /// Solves the unmodified base case and exports its full iterate — the
   /// same shape the cache warm start uses, so both seeds share one
   /// staging path.
@@ -165,10 +154,10 @@ class BatchAdmmSolver {
   void run_shard_wave(int shard_id, int wave_index, const BatchSolveOptions& options);
   void run_fused(Shard& shard, int buf, std::span<const int> wave,
                  const BatchSolveOptions& options);
-  /// Downloads one shard buffer and fills records (and, in ping-pong mode,
-  /// the captured per-scenario solutions).
+  /// Downloads one shard buffer and captures the records and solutions of
+  /// its scenarios `globals`.
   void evaluate_shard(int shard_id, int buf, std::span<const int> globals,
-                      ScenarioReport& report, grid::Network& eval_net, bool capture);
+                      ScenarioReport& report, grid::Network& eval_net);
   void set_beta(int s, double value);
 
   grid::Network net_;
@@ -181,13 +170,12 @@ class BatchAdmmSolver {
   admm::ColdStartTemplate cold_;   ///< shared cold-start template (host)
   BatchPlan plan_;
   std::vector<Shard> shards_;
-  bool storage_ready_ = false;
   bool solved_ = false;
   /// Per-scenario loop controller and stats; termination is expressed by
   /// dropping the scenario from the next fused step's active list.
   std::vector<admm::LoopControl> ctrl_;
   std::vector<double> beta_;  ///< per-scenario outer penalty (host truth)
-  std::vector<grid::OpfSolution> pp_solutions_;  ///< per-wave captures (ping-pong)
+  std::vector<grid::OpfSolution> solutions_;  ///< captured at each wave's end
   /// Convergence sampling state (empty unless
   /// options.convergence_sample_interval > 0): per-scenario trajectories
   /// and cumulative branch TRON iterations. Shards own disjoint scenarios,

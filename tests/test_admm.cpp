@@ -35,7 +35,7 @@ TEST(Admm, SolvesCase9ToPaperQuality) {
 TEST(Admm, BranchLaneWorkspacesPersistAcrossSolves) {
   // update_branches used to rebuild one BranchWorkspace per worker lane —
   // including every TRON solver's heap state — on every kernel launch.
-  // The lanes now live in AdmmState: the first solve constructs exactly
+  // The lanes now live in the solver: the first solve constructs exactly
   // one workspace per lane and every later launch reuses them.
   const auto net = grid::load_embedded_case("case9");
   AdmmSolver solver(net, params_for_case("case9", 9));
@@ -46,7 +46,7 @@ TEST(Admm, BranchLaneWorkspacesPersistAcrossSolves) {
   const auto created_after_first = BranchWorkspace::created();
   // ...but only the first launch constructed workspaces: one per lane.
   EXPECT_EQ(created_after_first - created_initial,
-            static_cast<std::uint64_t>(solver.state().branch_lanes.size()));
+            static_cast<std::uint64_t>(solver.branch_lanes().size()));
 
   // A warm re-solve constructs none at all.
   solver.prepare_warm_start();

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "admm/state.hpp"
+#include "admm/batch_state.hpp"
 #include "admm/step_kernels.hpp"
 #include "common/rng.hpp"
 #include "grid/cases.hpp"
@@ -16,14 +16,22 @@ struct Fixture {
   grid::Network net;
   AdmmParams params;
   ComponentModel model;
-  AdmmState state;
+  BatchAdmmState state;  ///< one slot, the network's own loads and bounds
+  double beta = 0.0;
+  std::vector<BranchWorkspace> lanes;
   device::Device dev{2};
 
   explicit Fixture(const std::string& case_name = "case9")
       : net(grid::load_embedded_case(case_name)),
         params(params_for_case(case_name, net.num_buses())),
         model(build_component_model(net, params)),
-        state(AdmmState::zeros(model)) {}
+        state(BatchAdmmState::single(model, net)) {}
+
+  [[nodiscard]] ScenarioView view() {
+    ScenarioView v = state.view(model, 0);
+    v.beta = beta;
+    return v;
+  }
 
   void randomize(std::uint64_t seed) {
     Rng rng(seed);
@@ -36,26 +44,25 @@ struct Fixture {
     fill(state.v, -1.0, 1.0);
     fill(state.z, -0.01, 0.01);
     fill(state.y, -5.0, 5.0);
-    state.beta = 1e3;
+    beta = 1e3;
   }
 
   /// The solver's x-update launch (generators + branches) on the state.
   void x_update() {
-    const ScenarioView view = make_scenario_view(model, state);
+    const ScenarioView v = view();
     const int slots[] = {0};
-    update_x(dev, make_model_view(model), params, {&view, 1}, slots, state.branch_lanes,
-             nullptr);
+    update_x(dev, make_model_view(model), params, {&v, 1}, slots, lanes, nullptr);
   }
 
   /// The solver's v-update launch (two-level): the bus update, then the
   /// z/y update of each bus's pairs.
   void v_update() {
-    const ScenarioView view = make_scenario_view(model, state);
+    const ScenarioView v = view();
     const int slots[] = {0};
     const int row = reduce_row_stride(1);
     const auto cells = static_cast<std::size_t>(dev.workers() * row);
     std::vector<double> partial_primal(cells), partial_dual(cells), partial_z(cells);
-    update_v(dev, make_model_view(model), /*two_level=*/true, {&view, 1}, slots, partial_primal,
+    update_v(dev, make_model_view(model), /*two_level=*/true, {&v, 1}, slots, partial_primal,
              partial_dual, partial_z, row);
   }
 };
@@ -178,7 +185,7 @@ TEST(ZKernel, MinimizesScalarObjective) {
     const int k = static_cast<int>(rng.uniform_index(f.model.num_pairs));
     auto objective = [&](double zz) {
       const double r = u[k] - v[k] + zz;
-      return lz[k] * zz + 0.5 * f.state.beta * zz * zz + y[k] * r + 0.5 * rho[k] * r * r;
+      return lz[k] * zz + 0.5 * f.beta * zz * zz + y[k] * r + 0.5 * rho[k] * r * r;
     };
     const double at = objective(z[k]);
     EXPECT_LE(at, objective(z[k] + 1e-4) + 1e-12);
@@ -205,10 +212,10 @@ TEST(YKernel, AppliesDualAscentRule) {
 TEST(OuterMultiplier, ClampsToBounds) {
   Fixture f;
   f.randomize(7);
-  f.state.beta = 1e12;
+  f.beta = 1e12;
   std::vector<double> big_z(f.state.z.size(), 1.0);
   f.state.z.upload(big_z);
-  const ScenarioView view = make_scenario_view(f.model, f.state);
+  const ScenarioView view = f.view();
   const int slots[] = {0};
   update_outer_multiplier(f.dev, make_model_view(f.model), {&view, 1}, slots, 1e8);
   for (const double l : f.state.lz.to_host()) EXPECT_LE(std::abs(l), 1e8);

@@ -1,77 +1,47 @@
+// The batch engine's plan: shard assignment, per-wave slots and the number
+// of wave buffers each shard holds.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <vector>
 
-#include "common/rng.hpp"
-#include "device/device.hpp"
-#include "tron/batch.hpp"
+#include "scenario/batch_plan.hpp"
 
-namespace gridadmm::tron {
+namespace gridadmm::scenario {
 namespace {
 
-/// min (x - target)^2 on [-1, 1].
-class Scalar final : public TronProblem {
- public:
-  explicit Scalar(double target) : target_(target) {}
-  [[nodiscard]] int dim() const override { return 1; }
-  void bounds(std::span<double> lower, std::span<double> upper) const override {
-    lower[0] = -1.0;
-    upper[0] = 1.0;
-  }
-  double eval_f(std::span<const double> x) override {
-    return (x[0] - target_) * (x[0] - target_);
-  }
-  void eval_gradient(std::span<const double> x, std::span<double> grad) override {
-    grad[0] = 2.0 * (x[0] - target_);
-  }
-  void eval_hessian(std::span<const double>, linalg::DenseMatrix& hess) override {
-    hess(0, 0) = 2.0;
-  }
+TEST(BatchPlan, RoundRobinRootsAreDeterministicAndChildrenFollowParents) {
+  std::vector<Scenario> scenarios(7);
+  // Scenarios 0-3 are roots; 4 chains from 1, 5 from 4, 6 from 3.
+  scenarios[4].chain_from = 1;
+  scenarios[5].chain_from = 4;
+  scenarios[6].chain_from = 3;
+  const std::vector<std::vector<int>> waves = {{0, 1, 2, 3}, {4, 6}, {5}};
 
- private:
-  double target_;
-};
+  const auto plan = BatchPlan::create(scenarios, waves, 3);
+  // Roots deal round-robin in scenario order: 0->0, 1->1, 2->2, 3->0.
+  EXPECT_EQ(plan.shard_of, (std::vector<int>{0, 1, 2, 0, 1, 1, 0}));
+  EXPECT_EQ(plan.wave_of, (std::vector<int>{0, 0, 0, 0, 1, 2, 1}));
+  // Slots are the rank within a scenario's (wave, shard) group, so every
+  // wave starts again at slot 0.
+  EXPECT_EQ(plan.slot_of, (std::vector<int>{0, 0, 0, 1, 0, 0, 0}));
+  // Capacity is each shard's largest wave, not its scenario count.
+  EXPECT_EQ(plan.shard_capacity, (std::vector<int>{2, 1, 1}));
+  // Three waves alternate between two buffers.
+  EXPECT_EQ(plan.num_buffers(), 2);
+  EXPECT_EQ(plan.buffer_of(5), 0);  // wave 2 reuses wave 0's buffer
+  EXPECT_EQ(plan.buffer_of(6), 1);
+  // Identical inputs give an identical plan (deterministic assignment).
+  const auto again = BatchPlan::create(scenarios, waves, 3);
+  EXPECT_EQ(again.shard_of, plan.shard_of);
+  EXPECT_EQ(again.slot_of, plan.slot_of);
 
-TEST(Batch, SolvesManyProblemsInParallel) {
-  gridadmm::Rng rng(88);
-  device::Device dev(4);
-  const int count = 500;
-  std::vector<std::unique_ptr<TronProblem>> problems;
-  std::vector<std::vector<double>> xs;
-  std::vector<double> targets;
-  for (int i = 0; i < count; ++i) {
-    targets.push_back(rng.uniform(-2.0, 2.0));
-    problems.push_back(std::make_unique<Scalar>(targets.back()));
-    xs.push_back({0.0});
-  }
-  const auto result = solve_batch(dev, problems, xs);
-  EXPECT_EQ(result.solved, count);
-  for (int i = 0; i < count; ++i) {
-    const double expected = std::clamp(targets[i], -1.0, 1.0);
-    EXPECT_NEAR(xs[i][0], expected, 1e-6) << "problem " << i;
-  }
-}
-
-TEST(Batch, EmptyBatchIsNoop) {
-  device::Device dev(2);
-  std::vector<std::unique_ptr<TronProblem>> problems;
-  std::vector<std::vector<double>> xs;
-  const auto result = solve_batch(dev, problems, xs);
-  EXPECT_EQ(result.solved, 0);
-}
-
-TEST(Batch, ReportsAggregateIterationCounts) {
-  device::Device dev(2);
-  std::vector<std::unique_ptr<TronProblem>> problems;
-  std::vector<std::vector<double>> xs;
-  for (int i = 0; i < 10; ++i) {
-    problems.push_back(std::make_unique<Scalar>(0.5));
-    xs.push_back({-1.0});
-  }
-  const auto result = solve_batch(dev, problems, xs);
-  EXPECT_EQ(result.solved, 10);
-  EXPECT_GT(result.total_iterations, 0);
+  // A one-wave set needs one buffer per shard.
+  const std::vector<Scenario> roots(5);
+  const auto flat = BatchPlan::create(roots, {{0, 1, 2, 3, 4}}, 2);
+  EXPECT_EQ(flat.num_buffers(), 1);
+  EXPECT_EQ(flat.shard_capacity, (std::vector<int>{3, 2}));
+  EXPECT_EQ(flat.slot_of, (std::vector<int>{0, 0, 1, 1, 2}));
 }
 
 }  // namespace
-}  // namespace gridadmm::tron
+}  // namespace gridadmm::scenario

@@ -316,6 +316,14 @@ TEST(FaultInjector, RejectsMalformedSpecs) {
   EXPECT_THROW(FaultInjector::parse_spec("launch"), ValidationError);
   EXPECT_THROW(FaultInjector::parse_spec("latency=0.5"), ValidationError);  // missing :DUR
   EXPECT_THROW(FaultInjector::parse_spec("seed=notanumber"), ValidationError);
+  // Every value parses in full: no trailing junk, no other base, no
+  // fractional or exponent form for a count.
+  EXPECT_THROW(FaultInjector::parse_spec("launch=0.5x"), ValidationError);
+  EXPECT_THROW(FaultInjector::parse_spec("seed=12abc"), ValidationError);
+  EXPECT_THROW(FaultInjector::parse_spec("shard=1.5"), ValidationError);
+  EXPECT_THROW(FaultInjector::parse_spec("limit=1e3"), ValidationError);
+  EXPECT_THROW(FaultInjector::parse_spec("seed=0x10"), ValidationError);
+  EXPECT_THROW(FaultInjector::parse_spec("latency=0.1:5m"), ValidationError);
 }
 
 TEST(FaultInjector, FaultSequenceIsDeterministicInTheSeed) {

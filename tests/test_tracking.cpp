@@ -7,6 +7,8 @@
 #include "device/pool.hpp"
 #include "grid/cases.hpp"
 #include "opf/tracking.hpp"
+#include "scenario/batch_solver.hpp"
+#include "scenario/scenario_set.hpp"
 
 namespace gridadmm::opf {
 namespace {
@@ -98,47 +100,52 @@ TEST(Tracking, BaselineComparisonFillsGapColumn) {
   }
 }
 
-TEST(Tracking, BatchedPingPongMatchesPersistentLayoutAndCapsMemory) {
-  // run_batched_tracking defaults to ping-pong wave memory; the records
-  // must be identical to the persistent layout, and the live batch-state
-  // footprint must stay constant in the number of periods.
+TEST(Tracking, BatchedTrackingMatchesSequentialAndCapsMemory) {
+  // Batched tracking must reproduce the sequential warm-start chain of the
+  // same profiles period for period, and its live batch-state footprint
+  // must stay constant in the number of periods.
   const auto net = grid::load_embedded_case("case9");
   const auto params = admm::params_for_case("case9", net.num_buses());
 
-  TrackingOptions flat_options;
-  flat_options.periods = 5;
-  flat_options.run_ipm = false;
-  flat_options.ping_pong = false;
-  const auto flat = run_batched_tracking(net, params, flat_options, 2);
-
-  TrackingOptions pp_options = flat_options;
-  pp_options.ping_pong = true;
+  TrackingOptions options;
+  options.periods = 5;
+  options.run_ipm = false;
   const auto live_before = device::allocation_stats().live_bytes;
   device::reset_allocation_peak();
-  const auto pp = run_batched_tracking(net, params, pp_options, 2);
-  const auto pp_peak = device::allocation_stats().peak_bytes - live_before;
+  const auto batched = run_batched_tracking(net, params, options, 2);
+  const auto peak = device::allocation_stats().peak_bytes - live_before;
 
-  ASSERT_EQ(pp.profiles.size(), flat.profiles.size());
-  for (std::size_t p = 0; p < pp.profiles.size(); ++p) {
-    ASSERT_EQ(pp.profiles[p].size(), flat.profiles[p].size());
-    for (std::size_t t = 0; t < pp.profiles[p].size(); ++t) {
+  // The same tracking set, solved scenario by scenario.
+  scenario::ScenarioSet set(net);
+  for (int p = 0; p < 2; ++p) {
+    grid::LoadProfileSpec spec;
+    spec.periods = options.periods;
+    spec.max_drift = options.max_drift;
+    spec.seed = options.profile_seed + static_cast<std::uint64_t>(p);
+    set.add_tracking_sequence(spec, options.ramp_fraction);
+  }
+  const auto sequential = scenario::solve_sequential(set, params);
+
+  ASSERT_EQ(batched.profiles.size(), 2u);
+  for (std::size_t p = 0; p < batched.profiles.size(); ++p) {
+    ASSERT_EQ(batched.profiles[p].size(), 5u);
+    for (std::size_t t = 0; t < batched.profiles[p].size(); ++t) {
       SCOPED_TRACE("profile " + std::to_string(p) + " period " + std::to_string(t));
-      EXPECT_EQ(pp.profiles[p][t].admm_iterations, flat.profiles[p][t].admm_iterations);
-      EXPECT_EQ(pp.profiles[p][t].admm_converged, flat.profiles[p][t].admm_converged);
-      EXPECT_LT(std::abs(pp.profiles[p][t].admm_objective - flat.profiles[p][t].admm_objective) /
-                    flat.profiles[p][t].admm_objective,
-                1e-6);
+      const auto& reference = sequential.records[p * 5 + t];
+      EXPECT_EQ(batched.profiles[p][t].admm_iterations, reference.inner_iterations);
+      EXPECT_EQ(batched.profiles[p][t].admm_converged, reference.converged);
+      EXPECT_DOUBLE_EQ(batched.profiles[p][t].admm_objective, reference.objective);
     }
   }
 
-  // Doubling the horizon must not grow the ping-pong peak.
-  TrackingOptions longer = pp_options;
+  // Doubling the horizon must not grow the peak.
+  TrackingOptions longer = options;
   longer.periods = 10;
   const auto live_before_long = device::allocation_stats().live_bytes;
   device::reset_allocation_peak();
   run_batched_tracking(net, params, longer, 2);
   const auto long_peak = device::allocation_stats().peak_bytes - live_before_long;
-  EXPECT_EQ(long_peak, pp_peak);
+  EXPECT_EQ(long_peak, peak);
 }
 
 TEST(Tracking, BatchedTrackingOverDevicePoolMatchesSingleDevice) {
