@@ -41,7 +41,7 @@
 //
 // --stress adds a case30 stress tenant (the scenario::StressCorpusOptions
 // recipe: uniformly scaled loads plus per-request iteration caps that
-// defeat both ADMM rungs) and enables the engine escalation router
+// defeat the fused ADMM) and enables the engine router's MiniIPM rung
 // (DESIGN.md §13). The JSON then also reports the per-engine completion
 // split and the IPM rescue rate; scripts/slo_check.py --expect-escalation
 // asserts at least one rescue happened and the split sums to completed.
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
   tenants.push_back({second, -1, 0.2});
   if (stress) {
     // The calibrated ADMM-defeating corpus as a tenant: every request from
-    // it exercises the full escalation ladder down to the IPM rung.
+    // it goes down the ladder to the IPM rung.
     const scenario::StressCorpusOptions corpus;
     Tenant hard;
     hard.network = std::make_shared<grid::Network>(grid::load_case("case30"));
@@ -181,13 +181,9 @@ int main(int argc, char** argv) {
   service_options.slo_objectives.fast_window_seconds = std::max(1.0, duration / 4.0);
   service_options.slo_objectives.slow_window_seconds = std::max(2.0, duration);
   service_options.expo_port = expo_port;
-  if (stress) {
-    // Full escalation ladder: stall-flagged solo retries plus the
-    // warm-started MiniIPM fallback for anything still non-converged.
-    service_options.escalation_retry = true;
-    service_options.convergence_sample_interval = 8;
-    service_options.engine_fallback = true;
-  }
+  // The warm-started MiniIPM rung for anything the fused ADMM leaves
+  // non-converged.
+  service_options.engine_fallback = stress;
   serve::SolveService service(base, params, service_options);
   if (service.expo() != nullptr) {
     std::printf("# exposition endpoint: %s\n", service.expo()->url().c_str());
@@ -363,12 +359,7 @@ int main(int argc, char** argv) {
         .field("retries", static_cast<long long>(after.retries - before.retries))
         .field("completed_admm",
                static_cast<long long>(after.completed_admm - before.completed_admm))
-        .field("completed_escalated_admm",
-               static_cast<long long>(after.completed_escalated_admm -
-                                      before.completed_escalated_admm))
         .field("completed_ipm",
-               static_cast<long long>(after.completed_ipm - before.completed_ipm))
-        .field("ipm_rescues",
                static_cast<long long>(after.completed_ipm - before.completed_ipm))
         .field("ipm_attempts",
                static_cast<long long>(after.ipm_attempts - before.ipm_attempts))

@@ -21,8 +21,8 @@ Checks, stdlib only:
   mandatory (the chaos-smoke CI step); --expect-quarantine additionally
   demands that at least one record saw a shard quarantine trip;
 - the engine-router split is consistent in every record that carries it:
-  completed == completed_admm + completed_escalated_admm + completed_ipm,
-  and ipm_rescues == completed_ipm <= ipm_attempts (DESIGN.md §13).
+  completed == completed_admm + completed_ipm, and completed_ipm +
+  ipm_failures <= ipm_attempts (DESIGN.md §13).
   --expect-escalation (the escalation-smoke CI step) makes the split fields
   mandatory and additionally demands at least one IPM rescue somewhere in
   the sweep — proof the stress tenant really defeated ADMM and the
@@ -48,14 +48,7 @@ REQUIRED = [
 ]
 STAGES = ["queue", "dispatch", "form", "stage", "solve", "extract", "fulfill"]
 LEDGER = ["completed", "failed", "deadline_shed", "retries", "quarantine_transitions"]
-ENGINES = [
-    "completed_admm",
-    "completed_escalated_admm",
-    "completed_ipm",
-    "ipm_rescues",
-    "ipm_attempts",
-    "ipm_failures",
-]
+ENGINES = ["completed_admm", "completed_ipm", "ipm_attempts", "ipm_failures"]
 
 
 def main():
@@ -141,27 +134,17 @@ def main():
                 )
 
         # Engine-router split: every completion is attributed to exactly one
-        # escalation-ladder rung, and rescues never exceed attempts.
+        # ladder rung, and rescues never exceed attempts.
         if expect_escalation:
             for field in ENGINES:
                 if field not in rec:
                     errors.append(f"{where}: missing engine-split field '{field}'")
-        if all(f in rec for f in ("completed_admm", "completed_escalated_admm", "completed_ipm")):
-            split = (
-                rec["completed_admm"]
-                + rec["completed_escalated_admm"]
-                + rec["completed_ipm"]
-            )
+        if all(f in rec for f in ("completed_admm", "completed_ipm")):
+            split = rec["completed_admm"] + rec["completed_ipm"]
             if "completed" in rec and split != rec["completed"]:
                 errors.append(
                     f"{where}: engine split {split} != completed {rec['completed']} "
-                    f"(admm {rec['completed_admm']} + escalated_admm "
-                    f"{rec['completed_escalated_admm']} + ipm {rec['completed_ipm']})"
-                )
-            if rec.get("ipm_rescues", rec["completed_ipm"]) != rec["completed_ipm"]:
-                errors.append(
-                    f"{where}: ipm_rescues {rec['ipm_rescues']} != completed_ipm "
-                    f"{rec['completed_ipm']}"
+                    f"(admm {rec['completed_admm']} + ipm {rec['completed_ipm']})"
                 )
             if "ipm_attempts" in rec and rec["completed_ipm"] + rec.get(
                 "ipm_failures", 0
@@ -180,9 +163,9 @@ def main():
             "(shard_quarantines and quarantine_transitions are zero everywhere)"
         )
 
-    if expect_escalation and not any(rec.get("ipm_rescues", 0) > 0 for rec in records):
+    if expect_escalation and not any(rec.get("completed_ipm", 0) > 0 for rec in records):
         errors.append(
-            "--expect-escalation: no record saw an IPM rescue (ipm_rescues is zero "
+            "--expect-escalation: no record saw an IPM rescue (completed_ipm is zero "
             "everywhere) — the stress tenant never exercised the fallback engine"
         )
 

@@ -96,7 +96,8 @@ struct ScenarioReport {
   /// Per-scenario convergence trajectories (one entry per scenario, in
   /// scenario order), filled when
   /// BatchSolveOptions::convergence_sample_interval > 0; empty otherwise.
-  /// Feed obs::should_escalate to detect non-converging scenarios.
+  /// They show how each scenario's residuals moved, including one that
+  /// retired on its iteration budget.
   std::vector<obs::ConvergenceTrajectory> convergence;
 
   [[nodiscard]] int num_converged() const;

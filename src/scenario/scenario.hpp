@@ -22,7 +22,8 @@ const char* to_string(ScenarioKind kind);
 /// Per-scenario convergence-control overrides, so one batch can mix
 /// heterogeneous requests (e.g. a fast approximate screen next to an
 /// accurate solve). Negative values inherit the batch-wide AdmmParams; a
-/// zero iteration budget is rejected by ScenarioSet::add.
+/// zero iteration budget or a non-finite tolerance is rejected by
+/// require_valid_controls (ScenarioSet::add and SolveService::submit).
 /// Only termination knobs are overridable: penalties and branch-subproblem
 /// controls shape the shared ComponentModel and stay batch-wide.
 struct ScenarioControls {
@@ -37,6 +38,10 @@ struct ScenarioControls {
            max_inner_iterations >= 0 || max_outer_iterations >= 0;
   }
 };
+
+/// Throws ValidationError ("<where>: ...") when `controls` carries a
+/// non-finite tolerance or a zero iteration budget.
+void require_valid_controls(const ScenarioControls& controls, const char* where);
 
 struct Scenario {
   std::string name;

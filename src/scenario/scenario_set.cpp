@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/numeric.hpp"
@@ -30,6 +31,19 @@ const char* to_string(ScenarioKind kind) {
     case ScenarioKind::kTracking: return "tracking";
   }
   return "unknown";
+}
+
+void require_valid_controls(const ScenarioControls& c, const char* where) {
+  // The message is built only on failure: SolveService::submit calls this
+  // for every request.
+  if (!((c.primal_tolerance < 0.0 || std::isfinite(c.primal_tolerance)) &&
+        (c.dual_tolerance < 0.0 || std::isfinite(c.dual_tolerance)) &&
+        (c.outer_tolerance < 0.0 || std::isfinite(c.outer_tolerance)))) {
+    throw ValidationError(std::string(where) + ": control tolerances must be finite");
+  }
+  if (c.max_inner_iterations == 0 || c.max_outer_iterations == 0) {
+    throw ValidationError(std::string(where) + ": control iteration budgets must be positive");
+  }
 }
 
 ScenarioSet::ScenarioSet(grid::Network base) : net_(std::move(base)) {
@@ -85,13 +99,7 @@ int ScenarioSet::add(Scenario sc) {
            "ScenarioSet::add: ramp_fraction must be finite and non-negative");
   validate(all_finite(sc.pd) && all_finite(sc.qd),
            "ScenarioSet::add: loads must be finite (no NaN/inf entries)");
-  const auto& c = sc.controls;
-  validate((c.primal_tolerance < 0.0 || std::isfinite(c.primal_tolerance)) &&
-               (c.dual_tolerance < 0.0 || std::isfinite(c.dual_tolerance)) &&
-               (c.outer_tolerance < 0.0 || std::isfinite(c.outer_tolerance)),
-           "ScenarioSet::add: control tolerances must be finite");
-  validate(c.max_inner_iterations != 0 && c.max_outer_iterations != 0,
-           "ScenarioSet::add: control iteration budgets must be positive");
+  require_valid_controls(sc.controls, "ScenarioSet::add");
   return append(std::move(sc));
 }
 

@@ -48,23 +48,21 @@ struct SolveRequest {
   double deadline = 0.0;
 };
 
-/// Which rung of the engine escalation ladder produced a result's final
-/// solution (DESIGN.md §13). The ladder is ordered: every request starts on
-/// the fused batch ADMM; a stall-flagged non-converged slot gets one
-/// boosted-budget solo ADMM retry; anything still non-converged is handed
-/// to the warm-started MiniIPM fallback when the router is enabled.
+/// Which rung of the engine ladder produced a result's final solution
+/// (DESIGN.md §13). Every request starts on the fused batch ADMM; with the
+/// router enabled, a slot it leaves non-converged is handed to the
+/// warm-started MiniIPM fallback.
 enum class SolveEngine {
-  kAdmm = 0,           ///< fused batch ADMM (first rung)
-  kEscalatedAdmm = 1,  ///< boosted-budget solo ADMM retry (second rung)
-  kIpm = 2,            ///< warm-started MiniIPM fallback (last rung)
+  kAdmm = 0,  ///< fused batch ADMM (first rung)
+  kIpm = 1,   ///< warm-started MiniIPM fallback (last rung)
 };
+inline constexpr int kSolveEngineCount = 2;
 
-/// Stable engine label ("admm", "escalated_admm", "ipm") for metric names,
-/// bench fields, and logs.
+/// Stable engine label ("admm", "ipm") for metric names, bench fields, and
+/// logs.
 inline const char* engine_name(SolveEngine engine) {
   switch (engine) {
     case SolveEngine::kAdmm: return "admm";
-    case SolveEngine::kEscalatedAdmm: return "escalated_admm";
     case SolveEngine::kIpm: return "ipm";
   }
   return "unknown";
@@ -86,13 +84,9 @@ struct SolveResult {
   /// took (1 = clean first try; more after transient retries / poison
   /// bisection — see DESIGN.md §12).
   int solve_attempts = 1;
-  /// True when any escalation rung re-solved this request after its fused
-  /// batch attempt came back non-converged — the boosted solo ADMM retry
-  /// (ServiceOptions::escalation_retry) or the MiniIPM fallback
-  /// (ServiceOptions::engine_fallback). Equivalent to engine != kAdmm.
-  bool escalated = false;
-  /// Which escalation-ladder rung produced `solution` (kAdmm when the
-  /// fused batch attempt was the final answer).
+  /// Which ladder rung produced `solution`: kAdmm when the fused batch
+  /// attempt was the final answer, kIpm when the MiniIPM fallback
+  /// (ServiceOptions::engine_fallback) re-solved it.
   SolveEngine engine = SolveEngine::kAdmm;
   double wait_seconds = 0.0;    ///< submit -> dispatch (injected clock)
   double total_seconds = 0.0;   ///< submit -> future fulfilled (injected clock)
@@ -103,8 +97,7 @@ struct SolveResult {
   RequestTimeline timeline;
   /// Sampled convergence trajectory of this request's batch slot, filled
   /// when ServiceOptions::convergence_sample_interval > 0 (empty samples
-  /// otherwise). Feed obs::should_escalate to decide whether this request
-  /// should be retried on a more robust engine.
+  /// otherwise): how its residuals moved before the fused solve retired it.
   obs::ConvergenceTrajectory trajectory;
 };
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -37,6 +38,22 @@ std::uint64_t request_key(std::uint64_t fingerprint, int outage_branch) {
 template <typename Message>
 void validate(bool cond, const Message& msg) {
   require_valid(cond, msg);
+}
+
+/// The request as one Scenario, named after its slot in micro-batch
+/// `batch_id`: what batch formation adds to the group's ScenarioSet and the
+/// IPM rung re-solves.
+scenario::Scenario scenario_of(const SolveRequest& request, std::uint64_t batch_id,
+                               std::size_t index) {
+  scenario::Scenario sc;
+  sc.name = "serve/batch-" + std::to_string(batch_id) + "-req-" + std::to_string(index);
+  sc.kind = request.outage_branch >= 0 ? scenario::ScenarioKind::kContingency
+                                       : scenario::ScenarioKind::kBase;
+  sc.pd = request.pd;
+  sc.qd = request.qd;
+  sc.outage_branch = request.outage_branch;
+  sc.controls = request.controls;
+  return sc;
 }
 
 /// Fails a future through a temporary promise, so the service drops its
@@ -77,9 +94,6 @@ SolveService::SolveService(grid::Network base, admm::AdmmParams params, ServiceO
   require(std::isfinite(options_.quarantine_backoff_seconds) &&
               options_.quarantine_backoff_seconds >= 0.0,
           "SolveService: quarantine_backoff_seconds must be finite and non-negative");
-  require(std::isfinite(options_.escalation_budget_boost) &&
-              options_.escalation_budget_boost >= 1.0,
-          "SolveService: escalation_budget_boost must be >= 1");
   require(std::isfinite(options_.ipm_budget_seconds) && options_.ipm_budget_seconds >= 0.0,
           "SolveService: ipm_budget_seconds must be finite and non-negative");
   require(std::isfinite(options_.ipm_tolerance) && options_.ipm_tolerance > 0.0,
@@ -120,18 +134,13 @@ SolveService::SolveService(grid::Network base, admm::AdmmParams params, ServiceO
                                     "Permanent-failure splits that isolate poison requests");
   m_quarantine_ = &metrics_.counter("serve_quarantine_transitions_total",
                                     "Shard circuit-breaker state changes");
-  m_escalations_ = &metrics_.counter(
-      "serve_escalation_retries_total",
-      "Degraded-mode solo retries of should_escalate-flagged requests");
-  m_escalations_recovered_ = &metrics_.counter(
-      "serve_escalation_recovered_total", "Escalation retries that converged");
   m_failed_form_ = &metrics_.counter("serve_failures_by_stage_form_total",
                                      "Request failures during batch formation");
   m_failed_solve_ = &metrics_.counter("serve_failures_by_stage_solve_total",
                                       "Request failures during or after the fused solve");
   // Engine-router attribution (DESIGN.md §13): completions split by the
-  // escalation-ladder rung that produced them, plus per-engine latency.
-  for (int e = 0; e < 3; ++e) {
+  // ladder rung that produced them, plus per-engine latency.
+  for (int e = 0; e < kSolveEngineCount; ++e) {
     const char* name = engine_name(static_cast<SolveEngine>(e));
     m_engine_completed_[e] =
         &metrics_.counter(std::string("serve_engine_") + name + "_completed_total",
@@ -353,6 +362,7 @@ std::future<SolveResult> SolveService::submit(SolveRequest request) {
            "SolveService::submit: outage branch index out of range");
   validate(std::isfinite(request.deadline),
            "SolveService::submit: deadline must be finite (injected-clock seconds)");
+  scenario::require_valid_controls(request.controls, "SolveService::submit");
   if (request.outage_branch >= 0) {
     // Base-case requests hit the precomputed bitmap; foreign networks pay
     // one DFS per contingency submit (the rare path).
@@ -630,15 +640,10 @@ SolveService::BatchOutcome SolveService::process_batch(Batch work, int shard) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Pending& p = batch[i];
     if (p.request.deadline > 0.0 && ctx.dispatch_time >= p.request.deadline) {
-      if (ctx.timeline_on) {
-        p.timeline.dispatch_ns = ctx.dispatch_ns;
-        p.timeline.fulfill_ns = obs::now_ns();
-      }
-      obs::instant("serve.deadline_shed", "req", p.id, "batch", ctx.batch_id);
-      if (slo_ != nullptr) slo_->record_deadline_shed(ctx.dispatch_time);
-      m_deadline_shed_->inc();
-      fail_future(p.promise, std::make_exception_ptr(DeadlineError(
-          "SolveService: request deadline expired while queued")));
+      end_without_result(p,
+                         std::make_exception_ptr(DeadlineError(
+                             "SolveService: request deadline expired while queued")),
+                         Ending::kDeadlineShed, ctx);
       continue;
     }
     members.push_back(i);
@@ -654,24 +659,18 @@ void SolveService::solve_group(std::vector<Pending>& batch, std::vector<std::siz
   // ---- Formation: stage this group as one ScenarioSet ----
   // Re-done per group so bisected halves form their own sets; submit()
   // validation makes a failure here defense-in-depth, and it fails exactly
-  // the offending request, never its neighbors.
+  // the offending request, never its neighbors. Stamps of a bisected
+  // sibling group are not this group's.
+  ctx.form_ns = ctx.stage_ns = ctx.solve_ns = ctx.extract_ns = 0;
   scenario::ScenarioSet set(*batch[members.front()].request.network);
   std::vector<std::size_t> formed;
   formed.reserve(members.size());
   for (const std::size_t i : members) {
     Pending& p = batch[i];
-    scenario::Scenario sc;
-    sc.name = "serve/batch-" + std::to_string(ctx.batch_id) + "-req-" + std::to_string(i);
-    sc.kind = p.request.outage_branch >= 0 ? scenario::ScenarioKind::kContingency
-                                           : scenario::ScenarioKind::kBase;
-    sc.pd = p.request.pd;
-    sc.qd = p.request.qd;
-    sc.outage_branch = p.request.outage_branch;
-    sc.controls = p.request.controls;
     try {
-      set.add(std::move(sc));
+      set.add(scenario_of(p.request, ctx.batch_id, i));
     } catch (...) {
-      fail_request(p, std::current_exception(), /*reached_solve=*/false, ctx);
+      end_without_result(p, std::current_exception(), Ending::kFailedForm, ctx);
       continue;
     }
     // Warm-start seed, resolved once and pinned: retries and bisected
@@ -695,8 +694,8 @@ void SolveService::solve_group(std::vector<Pending>& batch, std::vector<std::siz
     shard.batches->inc();
     shard.requests->inc(formed.size());
   }
-  ctx.form_ns = ctx.timeline_on ? obs::now_ns() : 0;
   if (ctx.timeline_on) {
+    ctx.form_ns = obs::now_ns();
     obs::span_between("serve.form", ctx.dispatch_ns, ctx.form_ns, "batch", ctx.batch_id);
   }
 
@@ -713,7 +712,7 @@ void SolveService::solve_group(std::vector<Pending>& batch, std::vector<std::siz
         ctx.exhausted_transient = true;
         const auto error = std::current_exception();
         for (const std::size_t i : formed) {
-          fail_request(batch[i], error, /*reached_solve=*/true, ctx);
+          end_without_result(batch[i], error, Ending::kFailedSolve, ctx);
         }
         return;
       }
@@ -734,8 +733,8 @@ void SolveService::solve_group(std::vector<Pending>& batch, std::vector<std::siz
     } catch (...) {
       if (formed.size() == 1) {
         // Solo and permanent: exactly this request fails.
-        fail_request(batch[formed.front()], std::current_exception(),
-                     /*reached_solve=*/true, ctx);
+        end_without_result(batch[formed.front()], std::current_exception(),
+                           Ending::kFailedSolve, ctx);
         return;
       }
       // Permanent error inside a group: bisect to isolate the poison
@@ -759,231 +758,115 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
   device::Device& device = pool_->device(ctx.shard);
   const bool use_cache = options_.cache.capacity > 0;
   if (ctx.attempts++ > 0) m_retries_->inc();  // a transient retry or a bisected half
-  // This attempt's launches: the fused solve plus any rung-2 rescues.
-  device::LaunchStats attempt_launches;
-  const auto record_launches = [&] {
-    const ShardSeries& shard = m_shard_[static_cast<std::size_t>(ctx.shard)];
-    shard.launches->inc(attempt_launches.launches);
-    shard.blocks->inc(attempt_launches.blocks);
-    shard.launch_busy_seconds->add(attempt_launches.busy_seconds);
-  };
-  scenario::ScenarioReport report;
-  std::vector<grid::OpfSolution> solutions;
-  std::vector<char> escalated(members.size(), 0);
-  std::vector<char> engine(members.size(), static_cast<char>(SolveEngine::kAdmm));
-  std::vector<char> resolved(members.size(), 0);  ///< future set by the ladder
-  std::uint64_t stage_ns = 0;
-  std::uint64_t solve_ns = 0;
-  std::uint64_t extract_ns = 0;
-  try {
-    scenario::BatchAdmmSolver solver(set, params_, &device);
-    stage_ns = ctx.timeline_on ? obs::now_ns() : 0;
-    if (ctx.timeline_on) {
-      obs::span_between("serve.stage", ctx.form_ns, stage_ns, "batch", ctx.batch_id);
-    }
-    scenario::BatchSolveOptions solve_options;
-    solve_options.convergence_sample_interval = options_.convergence_sample_interval;
-    solve_options.initial_iterates.assign(members.size(), nullptr);
-    for (std::size_t s = 0; s < members.size(); ++s) {
-      const Pending& p = batch[members[s]];
-      if (p.seed.iterate != nullptr) solve_options.initial_iterates[s] = p.seed.iterate.get();
-    }
-    {
-      device::LaunchStatsScope scope(device, attempt_launches);
-      report = solver.solve(solve_options);
-    }
-    solve_ns = ctx.timeline_on ? obs::now_ns() : 0;
-    if (ctx.timeline_on) {
-      obs::span_between("serve.solve", stage_ns, solve_ns, "batch", ctx.batch_id, "size",
-                        static_cast<std::uint64_t>(members.size()));
-    }
-    solutions = solver.solutions();
-    // ---- Refresh the warm-start cache with converged iterates ----
-    for (std::size_t s = 0; s < members.size(); ++s) {
-      const Pending& p = batch[members[s]];
-      if (!use_cache || p.request.bypass_cache) continue;
-      if (!report.records[s].converged) continue;
-      cache_.insert(p.fingerprint, p.request.pd, p.request.qd,
-                    std::make_shared<admm::WarmStartIterate>(
-                        solver.export_iterate(static_cast<int>(s))));
-    }
-    extract_ns = ctx.timeline_on ? obs::now_ns() : 0;
-    if (ctx.timeline_on) {
-      obs::span_between("serve.extract", solve_ns, extract_ns, "batch", ctx.batch_id);
-    }
-
-    // ---- Engine escalation ladder (DESIGN.md §13) ----
-    // Rung 2: a non-converged slot whose sampled trajectory shows no
-    // residual progress gets one solo ADMM re-solve, warm-started from its
-    // own failed iterate with a multiplied iteration budget. Best-effort:
-    // any rescue failure keeps the original result.
-    // Rung 3 (engine_fallback): anything still non-converged is handed to
-    // the warm-started MiniIPM fallback, seeded from the latest failed
-    // iterate. Unlike rung 2 this rung is decisive: success replaces the
-    // result (engine = kIpm), a typed failure fails the future — the
-    // request is never fulfilled with a silently non-converged answer.
-    // Both rungs honor the request deadline at pickup: an expired request
-    // is shed as a deadline miss, not rescued late.
-    const bool rung2_enabled = options_.escalation_retry &&
-                               options_.convergence_sample_interval > 0 &&
-                               !report.convergence.empty();
-    if (rung2_enabled || options_.engine_fallback) {
-      // Sheds one slot whose deadline passed at escalation pickup — the
-      // same accounting as the dispatch-pickup shed, with the stage stamps
-      // the slot earned inside this batch.
-      const auto shed_deadline = [&](std::size_t s) {
-        Pending& p = batch[members[s]];
-        if (ctx.timeline_on) {
-          p.timeline.dispatch_ns = ctx.dispatch_ns;
-          p.timeline.form_ns = ctx.form_ns;
-          p.timeline.stage_ns = stage_ns;
-          p.timeline.solve_ns = solve_ns;
-          p.timeline.extract_ns = extract_ns;
-          p.timeline.fulfill_ns = obs::now_ns();
-        }
-        if (slo_ != nullptr) {
-          for (int st = 0; st < RequestTimeline::kStageCount; ++st) {
-            m_stage_[st]->observe(p.timeline.stage_seconds(st));
-          }
-          slo_->record_deadline_shed(clock_->now());
-        }
-        obs::instant("serve.deadline_shed", "req", p.id, "batch", ctx.batch_id);
-        m_deadline_shed_->inc();
-        resolved[s] = 1;
-        fail_future(p.promise, std::make_exception_ptr(DeadlineError(
-            "SolveService: request deadline expired at escalation pickup")));
-      };
-      for (std::size_t s = 0; s < members.size(); ++s) {
-        if (report.records[s].converged) continue;
-        Pending& p = batch[members[s]];
-        const bool flagged = rung2_enabled && obs::should_escalate(report.convergence[s]);
-        if (!flagged && !options_.engine_fallback) continue;
-        if (p.request.deadline > 0.0 && clock_->now() >= p.request.deadline) {
-          shed_deadline(s);
-          continue;
-        }
-        // The latest failed iterate seeds whichever rung runs next.
-        admm::WarmStartIterate iterate = solver.export_iterate(static_cast<int>(s));
-        if (flagged) {
-          m_escalations_->inc();
-          obs::instant("serve.retry", "req", p.id, "escalation", 1);
-          try {
-            scenario::ScenarioSet solo(*p.request.network);
-            scenario::Scenario sc;
-            sc.name = "serve/escalate-" + std::to_string(ctx.batch_id) + "-req-" +
-                      std::to_string(members[s]);
-            sc.kind = p.request.outage_branch >= 0 ? scenario::ScenarioKind::kContingency
-                                                   : scenario::ScenarioKind::kBase;
-            sc.pd = p.request.pd;
-            sc.qd = p.request.qd;
-            sc.outage_branch = p.request.outage_branch;
-            sc.controls = p.request.controls;
-            const admm::AdmmParams effective =
-                scenario::effective_params(params_, p.request.controls);
-            sc.controls.max_inner_iterations = static_cast<int>(std::min(
-                static_cast<double>(effective.max_inner_iterations) *
-                    options_.escalation_budget_boost,
-                1e9));
-            sc.controls.max_outer_iterations = static_cast<int>(std::min(
-                static_cast<double>(effective.max_outer_iterations) *
-                    options_.escalation_budget_boost,
-                1e9));
-            solo.add(std::move(sc));
-            scenario::BatchAdmmSolver rescue(solo, params_, &device);
-            scenario::BatchSolveOptions rescue_options;
-            rescue_options.convergence_sample_interval = options_.convergence_sample_interval;
-            rescue_options.initial_iterates.assign(1, &iterate);
-            scenario::ScenarioReport rescue_report;
-            {
-              device::LaunchStatsScope scope(device, attempt_launches);
-              rescue_report = rescue.solve(rescue_options);
-            }
-            if (rescue_report.records[0].converged) {
-              m_escalations_recovered_->inc();
-              solutions[s] = rescue.solutions()[0];
-              report.stats[s] = rescue_report.stats[0];
-              report.records[s] = rescue_report.records[0];
-              if (!rescue_report.convergence.empty()) {
-                report.convergence[s] = std::move(rescue_report.convergence[0]);
-              }
-              escalated[s] = 1;
-              engine[s] = static_cast<char>(SolveEngine::kEscalatedAdmm);
-              if (use_cache && !p.request.bypass_cache) {
-                cache_.insert(
-                    p.fingerprint, p.request.pd, p.request.qd,
-                    std::make_shared<admm::WarmStartIterate>(rescue.export_iterate(0)));
-              }
-            } else {
-              // The boosted retry made progress even though it missed
-              // tolerance: hand its iterate (not rung 1's) to the IPM.
-              iterate = rescue.export_iterate(0);
-            }
-          } catch (...) {
-            // Keep the original non-converged result (and rung 1's
-            // iterate); the solo retry never turns a served answer into a
-            // failure.
-          }
-        }
-        if (!options_.engine_fallback || report.records[s].converged) continue;
-        // ---- Rung 3: warm-started MiniIPM re-solve ----
-        if (p.request.deadline > 0.0 && clock_->now() >= p.request.deadline) {
-          shed_deadline(s);
-          continue;
-        }
-        double budget = options_.ipm_budget_seconds;
-        if (p.request.deadline > 0.0) {
-          const double remaining = p.request.deadline - clock_->now();
-          budget = budget > 0.0 ? std::min(budget, remaining) : remaining;
-        }
-        m_ipm_attempts_->inc();
-        obs::instant("serve.ipm_rescue", "req", p.id, "batch", ctx.batch_id);
-        try {
-          scenario::Scenario sc;
-          sc.name = "serve/ipm-" + std::to_string(ctx.batch_id) + "-req-" +
-                    std::to_string(members[s]);
-          sc.kind = p.request.outage_branch >= 0 ? scenario::ScenarioKind::kContingency
-                                                 : scenario::ScenarioKind::kBase;
-          sc.pd = p.request.pd;
-          sc.qd = p.request.qd;
-          sc.outage_branch = p.request.outage_branch;
-          scenario::IpmEngineOptions ipm_options;
-          ipm_options.ipm.tolerance = options_.ipm_tolerance;
-          ipm_options.ipm.max_iterations = options_.ipm_max_iterations;
-          ipm_options.wall_budget_seconds = budget;
-          const grid::OpfSolution warm = admm::to_solution(iterate, *p.request.network);
-          scenario::IpmEngineResult rescue =
-              scenario::solve_scenario_ipm(*p.request.network, sc, ipm_options, &warm);
-          solutions[s] = std::move(rescue.solution);
-          report.records[s].converged = true;
-          report.records[s].objective = rescue.quality.objective;
-          report.records[s].max_violation = rescue.quality.max_violation;
-          escalated[s] = 1;
-          engine[s] = static_cast<char>(SolveEngine::kIpm);
-        } catch (...) {
-          // Decisive failure: the future carries the typed error
-          // (ConvergenceError, NumericalError, ...) instead of a silently
-          // non-converged result.
-          m_ipm_failures_->inc();
-          fail_request(p, std::current_exception(), /*reached_solve=*/true, ctx);
-          resolved[s] = 1;
-        }
-      }
-    }
-  } catch (...) {
-    // Partial launches of the failed attempt still happened on the device:
-    // keep them in the shard's attribution.
-    record_launches();
-    throw;
+  ctx.stage_ns = ctx.solve_ns = ctx.extract_ns = 0;  // an earlier attempt's
+  scenario::BatchAdmmSolver solver(set, params_, &device);
+  if (ctx.timeline_on) {
+    ctx.stage_ns = obs::now_ns();
+    obs::span_between("serve.stage", ctx.form_ns, ctx.stage_ns, "batch", ctx.batch_id);
   }
-  record_launches();
+  scenario::BatchSolveOptions solve_options;
+  solve_options.convergence_sample_interval = options_.convergence_sample_interval;
+  solve_options.initial_iterates.assign(members.size(), nullptr);
+  for (std::size_t s = 0; s < members.size(); ++s) {
+    const Pending& p = batch[members[s]];
+    if (p.seed.iterate != nullptr) solve_options.initial_iterates[s] = p.seed.iterate.get();
+  }
+  scenario::ScenarioReport report;
+  {
+    // The shard's attribution keeps the launches of a failed solve too.
+    device::LaunchStats launches;
+    const auto record_launches = [&] {
+      const ShardSeries& shard = m_shard_[static_cast<std::size_t>(ctx.shard)];
+      shard.launches->inc(launches.launches);
+      shard.blocks->inc(launches.blocks);
+      shard.launch_busy_seconds->add(launches.busy_seconds);
+    };
+    try {
+      device::LaunchStatsScope scope(device, launches);
+      report = solver.solve(solve_options);
+    } catch (...) {
+      record_launches();
+      throw;
+    }
+    record_launches();
+  }
+  if (ctx.timeline_on) {
+    ctx.solve_ns = obs::now_ns();
+    obs::span_between("serve.solve", ctx.stage_ns, ctx.solve_ns, "batch", ctx.batch_id, "size",
+                      static_cast<std::uint64_t>(members.size()));
+  }
+  std::vector<grid::OpfSolution> solutions = solver.solutions();
+  // ---- Refresh the warm-start cache with converged iterates ----
+  for (std::size_t s = 0; s < members.size(); ++s) {
+    const Pending& p = batch[members[s]];
+    if (!use_cache || p.request.bypass_cache) continue;
+    if (!report.records[s].converged) continue;
+    cache_.insert(p.fingerprint, p.request.pd, p.request.qd,
+                  std::make_shared<admm::WarmStartIterate>(
+                      solver.export_iterate(static_cast<int>(s))));
+  }
+  if (ctx.timeline_on) {
+    ctx.extract_ns = obs::now_ns();
+    obs::span_between("serve.extract", ctx.solve_ns, ctx.extract_ns, "batch", ctx.batch_id);
+  }
+
+  // ---- Engine ladder (DESIGN.md §13): the MiniIPM rung ----
+  // With engine_fallback on, a slot the fused solve left non-converged is
+  // re-solved by the warm-started MiniIPM, seeded from its failed ADMM
+  // iterate. The rung is decisive: success replaces the result (engine =
+  // kIpm), a typed failure fails the future, so no request is fulfilled
+  // with a silently non-converged answer. A request whose deadline passed
+  // by pickup is shed as a deadline miss, not rescued late.
+  std::vector<SolveEngine> engine(members.size(), SolveEngine::kAdmm);
+  std::vector<char> ended(members.size(), 0);  ///< future already ended without a result
+  for (std::size_t s = 0; options_.engine_fallback && s < members.size(); ++s) {
+    if (report.records[s].converged) continue;
+    Pending& p = batch[members[s]];
+    if (p.request.deadline > 0.0 && clock_->now() >= p.request.deadline) {
+      end_without_result(p,
+                         std::make_exception_ptr(DeadlineError(
+                             "SolveService: request deadline expired at escalation pickup")),
+                         Ending::kDeadlineShed, ctx);
+      ended[s] = 1;
+      continue;
+    }
+    double budget = options_.ipm_budget_seconds;
+    if (p.request.deadline > 0.0) {
+      const double remaining = p.request.deadline - clock_->now();
+      budget = budget > 0.0 ? std::min(budget, remaining) : remaining;
+    }
+    const admm::WarmStartIterate iterate = solver.export_iterate(static_cast<int>(s));
+    m_ipm_attempts_->inc();
+    obs::instant("serve.ipm_rescue", "req", p.id, "batch", ctx.batch_id);
+    try {
+      scenario::IpmEngineOptions ipm_options;
+      ipm_options.ipm.tolerance = options_.ipm_tolerance;
+      ipm_options.ipm.max_iterations = options_.ipm_max_iterations;
+      ipm_options.wall_budget_seconds = budget;
+      const grid::OpfSolution warm = admm::to_solution(iterate, *p.request.network);
+      scenario::IpmEngineResult rescue = scenario::solve_scenario_ipm(
+          *p.request.network, scenario_of(p.request, ctx.batch_id, members[s]), ipm_options,
+          &warm);
+      solutions[s] = std::move(rescue.solution);
+      report.records[s].converged = true;
+      report.records[s].objective = rescue.quality.objective;
+      report.records[s].max_violation = rescue.quality.max_violation;
+      engine[s] = SolveEngine::kIpm;
+    } catch (...) {
+      // Decisive failure: the future carries the typed error
+      // (ConvergenceError, NumericalError, ...) instead of a silently
+      // non-converged result.
+      m_ipm_failures_->inc();
+      end_without_result(p, std::current_exception(), Ending::kFailedSolve, ctx);
+      ended[s] = 1;
+    }
+  }
 
   // ---- Fulfill futures ----
   const double completion_time = clock_->now();
-  std::uint64_t last_fulfill_ns = extract_ns;
+  std::uint64_t last_fulfill_ns = ctx.extract_ns;
   for (std::size_t s = 0; s < members.size(); ++s) {
-    // Slots the escalation ladder already settled (deadline shed at rung
-    // pickup, typed IPM failure) carry no future to fulfill here.
-    if (resolved[s]) continue;
+    if (ended[s]) continue;  // deadline shed or typed failure at the IPM rung
     Pending& p = batch[members[s]];
     SolveResult result;
     result.solution = std::move(solutions[s]);
@@ -996,29 +879,16 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
     result.cache_hit = p.seed.iterate != nullptr;
     result.cache_distance = p.seed.distance;
     result.solve_attempts = ctx.attempts;
-    result.escalated = escalated[s] != 0;
-    result.engine = static_cast<SolveEngine>(engine[s]);
+    result.engine = engine[s];
     result.wait_seconds = ctx.dispatch_time - p.submit_time;
     result.total_seconds = completion_time - p.submit_time;
     if (!report.convergence.empty()) result.trajectory = std::move(report.convergence[s]);
+    close_timeline(p, ctx);
     if (ctx.timeline_on) {
-      // Fan the batch-scoped stamps out to the request, add the
-      // per-request fulfill stamp, and ship the timeline with the result.
-      p.timeline.dispatch_ns = ctx.dispatch_ns;
-      p.timeline.form_ns = ctx.form_ns;
-      p.timeline.stage_ns = stage_ns;
-      p.timeline.solve_ns = solve_ns;
-      p.timeline.extract_ns = extract_ns;
-      p.timeline.fulfill_ns = obs::now_ns();
       last_fulfill_ns = p.timeline.fulfill_ns;
       result.timeline = p.timeline;
     }
-    if (slo_ != nullptr) {
-      for (int st = 0; st < RequestTimeline::kStageCount; ++st) {
-        m_stage_[st]->observe(p.timeline.stage_seconds(st));
-      }
-      slo_->record_latency(result.total_seconds, completion_time);
-    }
+    if (slo_ != nullptr) slo_->record_latency(result.total_seconds, completion_time);
     m_latency_->observe(result.total_seconds);
     m_engine_latency_[static_cast<int>(engine[s])]->observe(result.total_seconds);
     m_completed_->inc();
@@ -1027,29 +897,45 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
     p.promise.set_value(std::move(result));
   }
   if (ctx.timeline_on) {
-    obs::span_between("serve.fulfill", extract_ns, last_fulfill_ns, "batch", ctx.batch_id,
+    obs::span_between("serve.fulfill", ctx.extract_ns, last_fulfill_ns, "batch", ctx.batch_id,
                       "size", static_cast<std::uint64_t>(members.size()));
   }
 }
 
-void SolveService::fail_request(Pending& p, std::exception_ptr error, bool reached_solve,
-                                BatchContext& ctx) {
-  if (ctx.timeline_on) {
-    // Failed requests get timelines too (ISSUE 9): the stamps they earned
-    // plus a fulfill stamp, so failure shows up in the stage histograms
-    // instead of silently vanishing from the telemetry.
-    p.timeline.dispatch_ns = ctx.dispatch_ns;
-    if (reached_solve) p.timeline.form_ns = ctx.form_ns;
-    p.timeline.fulfill_ns = obs::now_ns();
+void SolveService::close_timeline(Pending& p, const BatchContext& ctx) const {
+  if (!ctx.timeline_on) return;
+  RequestTimeline& t = p.timeline;
+  t.dispatch_ns = ctx.dispatch_ns;
+  t.form_ns = ctx.form_ns;
+  t.stage_ns = ctx.stage_ns;
+  t.solve_ns = ctx.solve_ns;
+  t.extract_ns = ctx.extract_ns;
+  t.fulfill_ns = obs::now_ns();
+  // A stage the request never reached ends where the one before it did.
+  std::uint64_t* const stamps[] = {&t.admit_ns, &t.queue_ns,  &t.dispatch_ns, &t.form_ns,
+                                   &t.stage_ns, &t.solve_ns, &t.extract_ns};
+  for (std::size_t i = 1; i < std::size(stamps); ++i) {
+    if (*stamps[i] == 0) *stamps[i] = *stamps[i - 1];
   }
   if (slo_ != nullptr) {
     for (int st = 0; st < RequestTimeline::kStageCount; ++st) {
-      m_stage_[st]->observe(p.timeline.stage_seconds(st));
+      m_stage_[st]->observe(t.stage_seconds(st));
     }
   }
-  m_failed_->inc();
-  (reached_solve ? m_failed_solve_ : m_failed_form_)->inc();
-  obs::instant("serve.fail.req", "req", p.id, "batch", ctx.batch_id);
+}
+
+void SolveService::end_without_result(Pending& p, std::exception_ptr error, Ending ending,
+                                      const BatchContext& ctx) {
+  close_timeline(p, ctx);
+  if (ending == Ending::kDeadlineShed) {
+    if (slo_ != nullptr) slo_->record_deadline_shed(clock_->now());
+    m_deadline_shed_->inc();
+    obs::instant("serve.deadline_shed", "req", p.id, "batch", ctx.batch_id);
+  } else {
+    m_failed_->inc();
+    (ending == Ending::kFailedForm ? m_failed_form_ : m_failed_solve_)->inc();
+    obs::instant("serve.fail.req", "req", p.id, "batch", ctx.batch_id);
+  }
   fail_future(p.promise, std::move(error));
 }
 
@@ -1071,12 +957,10 @@ ServiceStats SolveService::stats() const {
   snapshot.failed = m_failed_->value();
   snapshot.retries = m_retries_->value();
   snapshot.bisections = m_bisections_->value();
-  snapshot.escalation_retries = m_escalations_->value();
-  snapshot.escalation_recovered = m_escalations_recovered_->value();
   snapshot.quarantine_transitions = m_quarantine_->value();
-  snapshot.completed_admm = m_engine_completed_[0]->value();
-  snapshot.completed_escalated_admm = m_engine_completed_[1]->value();
-  snapshot.completed_ipm = m_engine_completed_[2]->value();
+  snapshot.completed_admm =
+      m_engine_completed_[static_cast<int>(SolveEngine::kAdmm)]->value();
+  snapshot.completed_ipm = m_engine_completed_[static_cast<int>(SolveEngine::kIpm)]->value();
   snapshot.ipm_attempts = m_ipm_attempts_->value();
   snapshot.ipm_failures = m_ipm_failures_->value();
   snapshot.batches = m_batches_->value();

@@ -120,28 +120,23 @@ struct ServiceOptions {
   /// probe batch (steady clock; queued work flows to healthy shards
   /// meanwhile via the shared dispatch queue).
   double quarantine_backoff_seconds = 0.25;
-  /// Degraded-mode rung: a non-converged request whose sampled trajectory
-  /// obs::should_escalate flags gets one solo re-solve, warm-started from
-  /// its failed iterate with the iteration budget multiplied by
-  /// escalation_budget_boost. Needs convergence_sample_interval > 0.
-  bool escalation_retry = false;
-  double escalation_budget_boost = 4.0;
 
-  // ---- Engine router (DESIGN.md §13, ROADMAP item 5) ----
-  /// Last rung of the escalation ladder: a request still non-converged
-  /// after the fused batch solve and (when stall-flagged) the boosted solo
-  /// retry is re-solved by the warm-started MiniIPM fallback engine
-  /// (scenario::solve_scenario_ipm), seeded from its latest failed ADMM
-  /// iterate. Success fulfills the future converged with
+  // ---- Engine router (DESIGN.md §13) ----
+  /// Second and last rung of the engine ladder: a request the fused batch
+  /// solve leaves non-converged is re-solved by the warm-started MiniIPM
+  /// fallback engine (scenario::solve_scenario_ipm), seeded from its failed
+  /// ADMM iterate. Success fulfills the future converged with
   /// SolveResult::engine == SolveEngine::kIpm; a fallback failure surfaces
   /// as a typed ConvergenceError (or NumericalError) on the future instead
   /// of a silently non-converged result. Off by default: with the router
-  /// disabled, results are bit-identical to the pure-ADMM path and the
-  /// fallback engine is never constructed.
+  /// disabled, a non-converged request comes back non-converged within the
+  /// budget its controls asked for, results are bit-identical to the
+  /// router-enabled path on converging load, and the fallback engine is
+  /// never constructed.
   bool engine_fallback = false;
   /// Wall-clock budget per IPM re-solve in seconds (0 = unlimited). A
   /// deadline-carrying request is additionally clamped to its remaining
-  /// time, so an escalation never blows a deadline admission promised to
+  /// time, so a rescue never blows a deadline admission promised to
   /// enforce; a request whose deadline already passed at escalation pickup
   /// is shed as a deadline miss instead of rescued late.
   double ipm_budget_seconds = 0.0;
@@ -193,9 +188,9 @@ class SolveService {
 
   /// Enqueues one request. Throws CapacityError when the queue is full and
   /// ValidationError on malformed input (bad load vector size, out-of-range
-  /// outage branch); both are synchronous, nothing is enqueued. The future
-  /// is fulfilled by the dispatcher (with a SolveResult, or the exception
-  /// the batch solve raised).
+  /// outage branch, malformed controls); both are synchronous, nothing is
+  /// enqueued. The future is fulfilled by the dispatcher (with a
+  /// SolveResult, or the exception the batch solve raised).
   std::future<SolveResult> submit(SolveRequest request);
 
   /// Stops admission and blocks until every accepted request is fulfilled.
@@ -267,11 +262,23 @@ class SolveService {
     int shard = 0;
     bool timeline_on = false;
     double dispatch_time = 0.0;
+    /// Batch-scoped stage stamps (trace clock) of the current group and
+    /// attempt; 0 = not reached yet. Set only when timeline_on.
     std::uint64_t dispatch_ns = 0;
-    std::uint64_t form_ns = 0;     ///< latest group's formation stamp
-    int attempts = 0;              ///< fused solves issued (escalations excluded)
+    std::uint64_t form_ns = 0;
+    std::uint64_t stage_ns = 0;
+    std::uint64_t solve_ns = 0;
+    std::uint64_t extract_ns = 0;
+    int attempts = 0;              ///< fused solves issued (IPM rescues excluded)
     int transient_attempts = 0;    ///< attempts lost to TransientDeviceError
     bool exhausted_transient = false;  ///< a group ran out of transient retries
+  };
+
+  /// How a request's future ends without a result.
+  enum class Ending {
+    kDeadlineShed,  ///< DeadlineError at dispatch or escalation pickup
+    kFailedForm,    ///< rejected while its batch was formed
+    kFailedSolve,   ///< the fused solve or the IPM rung failed it
   };
 
   /// What the shard worker feeds the circuit breaker after a batch.
@@ -308,10 +315,16 @@ class SolveService {
   /// the solver's error on failure (futures untouched).
   void attempt_members(std::vector<Pending>& batch, const std::vector<std::size_t>& members,
                        const scenario::ScenarioSet& set, BatchContext& ctx);
-  /// Fails one request's future with `error`, stamping its timeline and
-  /// stage histograms so failure is visible, not absent (ISSUE 9).
-  void fail_request(Pending& p, std::exception_ptr error, bool reached_solve,
-                    BatchContext& ctx);
+  /// Copies the batch stamps into `p`'s timeline, stamps its fulfill
+  /// instant and records its stage samples. A stamp the batch has not
+  /// reached takes the one before it, so stages the request never ran read
+  /// 0 and its seven stages sum to its own admit -> fulfill time.
+  void close_timeline(Pending& p, const BatchContext& ctx) const;
+  /// Ends one request's future with `error` instead of a result: stamps its
+  /// timeline, records its stage samples and counts it as `ending`, so a
+  /// shed or failure is visible in the telemetry, not absent.
+  void end_without_result(Pending& p, std::exception_ptr error, Ending ending,
+                          const BatchContext& ctx);
   /// Transitions a shard's circuit breaker, emitting the counter, gauge,
   /// trace instant, and log line. Caller holds mu_.
   void transition_shard_locked(int shard, ShardState to);
@@ -377,14 +390,13 @@ class SolveService {
   obs::Counter* m_retries_ = nullptr;
   obs::Counter* m_bisections_ = nullptr;
   obs::Counter* m_quarantine_ = nullptr;
-  obs::Counter* m_escalations_ = nullptr;
-  obs::Counter* m_escalations_recovered_ = nullptr;
   obs::Counter* m_failed_form_ = nullptr;   ///< serve_failures_by_stage_form_total
   obs::Counter* m_failed_solve_ = nullptr;  ///< serve_failures_by_stage_solve_total
   std::vector<ShardSeries> m_shard_;        ///< one per shard
-  // Engine-router instruments (DESIGN.md §13), indexed by SolveEngine.
-  obs::Counter* m_engine_completed_[3] = {};  ///< serve_engine_<name>_completed_total
-  obs::Histogram* m_engine_latency_[3] = {};  ///< serve_latency_<name>_seconds
+  // Engine-router instruments (DESIGN.md §13), indexed by SolveEngine:
+  // serve_engine_<name>_completed_total and serve_latency_<name>_seconds.
+  obs::Counter* m_engine_completed_[kSolveEngineCount] = {};
+  obs::Histogram* m_engine_latency_[kSolveEngineCount] = {};
   obs::Counter* m_ipm_attempts_ = nullptr;    ///< serve_engine_ipm_attempts_total
   obs::Counter* m_ipm_failures_ = nullptr;    ///< serve_engine_ipm_failures_total
 

@@ -50,22 +50,17 @@ struct ServiceStats {
   std::uint64_t retries = 0;
   /// Permanent-failure splits performed to isolate poison requests.
   std::uint64_t bisections = 0;
-  /// Degraded-mode solo retries of should_escalate-flagged non-converged
-  /// requests, and how many of those converged on the boosted budget.
-  std::uint64_t escalation_retries = 0;
-  std::uint64_t escalation_recovered = 0;
   /// Shard circuit-breaker state changes (healthy -> quarantined ->
   /// half-open -> ...), summed over all shards.
   std::uint64_t quarantine_transitions = 0;
 
   // ---- Engine router (DESIGN.md §13) ----
-  /// Engine split of `completed`: which escalation-ladder rung produced
-  /// each fulfilled result. Invariant: completed == completed_admm +
-  /// completed_escalated_admm + completed_ipm, always — a rescue that
-  /// misses its deadline or fails is a shed/failure, never a completion.
+  /// Engine split of `completed`: which ladder rung produced each
+  /// fulfilled result. Invariant: completed == completed_admm +
+  /// completed_ipm, always — a rescue that misses its deadline or fails is
+  /// a shed/failure, never a completion.
   std::uint64_t completed_admm = 0;
-  std::uint64_t completed_escalated_admm = 0;
-  std::uint64_t completed_ipm = 0;  ///< IPM rescues (a.k.a. ipm_rescues)
+  std::uint64_t completed_ipm = 0;  ///< IPM rescues
   /// MiniIPM fallback re-solves started, and how many ended in a typed
   /// ConvergenceError/NumericalError on the future (counted in `failed`).
   std::uint64_t ipm_attempts = 0;

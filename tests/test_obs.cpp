@@ -249,16 +249,6 @@ TEST(Convergence, SamplerFlagsIterationCappedScenario) {
   ASSERT_FALSE(starved.samples.empty());
   EXPECT_EQ(starved.samples.back().inner_iteration, report.stats[1].inner_iterations);
   EXPECT_LE(report.stats[1].inner_iterations, 3);
-
-  // The router signal: the converged scenario never escalates (under any
-  // policy); the capped one does — three iterations cannot have decayed
-  // the primal residual a million-fold.
-  obs::EscalationPolicy strict;
-  strict.min_decay = 1e-6;
-  EXPECT_FALSE(obs::should_escalate(healthy));
-  EXPECT_FALSE(obs::should_escalate(healthy, strict));
-  EXPECT_TRUE(obs::should_escalate(starved, strict));
-  EXPECT_EQ(obs::escalation_candidates(report.convergence, strict), (std::vector<int>{1}));
 }
 
 TEST(Convergence, TracingAndSamplingKeepIteratesBitIdentical) {
@@ -328,8 +318,6 @@ TEST(Serve, LifecycleSpansInstrumentsAndTrajectories) {
     // The per-request trajectory rides out of the batch solve.
     EXPECT_EQ(result.trajectory.converged, result.converged);
     EXPECT_FALSE(result.trajectory.samples.empty());
-    EXPECT_FALSE(obs::should_escalate(result.trajectory,
-                                      obs::EscalationPolicy{0.5, 1e-6}));
   }
   service.drain();
 

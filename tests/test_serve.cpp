@@ -334,6 +334,19 @@ TEST(SolveService, RejectsMalformedRequestsSynchronously) {
   nan_load.pd[0] = std::nan("");
   EXPECT_THROW(service.submit(std::move(nan_load)), ValidationError);
 
+  // Malformed controls: the check ScenarioSet::add makes, made at submit.
+  SolveRequest no_inner;
+  no_inner.controls.max_inner_iterations = 0;
+  EXPECT_THROW(service.submit(std::move(no_inner)), ValidationError);
+
+  SolveRequest no_outer;
+  no_outer.controls.max_outer_iterations = 0;
+  EXPECT_THROW(service.submit(std::move(no_outer)), ValidationError);
+
+  SolveRequest nan_tolerance;
+  nan_tolerance.controls.primal_tolerance = std::nan("");
+  EXPECT_THROW(service.submit(std::move(nan_tolerance)), ValidationError);
+
   const auto stats = service.stats();
   EXPECT_EQ(stats.submitted, 0u);
 }
@@ -797,11 +810,8 @@ TEST(SolveService, ExpoEndpointsAgreeWithServiceStats) {
       {"serve_requests_failed_total", stats.failed},
       {"serve_retries_total", stats.retries},
       {"serve_bisections_total", stats.bisections},
-      {"serve_escalation_retries_total", stats.escalation_retries},
-      {"serve_escalation_recovered_total", stats.escalation_recovered},
       {"serve_quarantine_transitions_total", stats.quarantine_transitions},
       {"serve_engine_admm_completed_total", stats.completed_admm},
-      {"serve_engine_escalated_admm_completed_total", stats.completed_escalated_admm},
       {"serve_engine_ipm_completed_total", stats.completed_ipm},
       {"serve_engine_ipm_attempts_total", stats.ipm_attempts},
       {"serve_engine_ipm_failures_total", stats.ipm_failures},
@@ -1285,10 +1295,11 @@ TEST(SolveService, QuarantineTripsRedistributesAndHalfOpenRecovers) {
   EXPECT_EQ(stats.per_shard[1].consecutive_failures, 0);
 }
 
-TEST(SolveService, EscalationRungRecoversStalledRequestSolo) {
-  // A request whose own controls give it a hopeless iteration budget stalls
-  // and gets flagged by should_escalate; the degraded-mode rung re-solves
-  // it solo with a boosted budget and the future carries the recovery.
+TEST(SolveService, StarvedRequestGoesStraightToIpmRungAfterOneAdmmSolve) {
+  // A request whose own controls give it a hopeless iteration budget (one
+  // inner, one outer iteration) comes back non-converged from the fused
+  // ADMM and is answered by the MiniIPM rung after exactly that one ADMM
+  // solve: its shard launched 2 x inner + outer = 3 kernels, no more.
   const auto net = grid::load_embedded_case("case9");
   const auto params = admm::params_for_case("case9", net.num_buses());
 
@@ -1296,30 +1307,29 @@ TEST(SolveService, EscalationRungRecoversStalledRequestSolo) {
   options.max_batch_size = 2;
   options.batching_window_seconds = 0.01;
   options.cache.capacity = 0;
-  options.escalation_retry = true;
-  options.escalation_budget_boost = 1000.0;  // 2x1 starved -> 2000x1000 boosted
-  options.convergence_sample_interval = 1;  // the rung needs trajectories
+  options.engine_fallback = true;
   SolveService service(net, params, options);
 
   SolveRequest starved;
-  // One inner iteration yields a single-sample trajectory: too little
-  // evidence of progress, so should_escalate flags it deterministically.
   starved.controls.max_inner_iterations = 1;
   starved.controls.max_outer_iterations = 1;
   const auto result = service.submit(std::move(starved)).get();
-  EXPECT_TRUE(result.escalated);
-  EXPECT_TRUE(result.converged);  // the boosted solo retry finished the job
+  EXPECT_TRUE(result.converged);
+  EXPECT_EQ(result.engine, SolveEngine::kIpm);
+  EXPECT_EQ(result.stats.inner_iterations, 1);  // the ADMM work it did
 
   service.drain();
   const auto stats = service.stats();
-  EXPECT_EQ(stats.escalation_retries, 1u);
-  EXPECT_EQ(stats.escalation_recovered, 1u);
   EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.completed_ipm, 1u);
+  EXPECT_EQ(stats.ipm_attempts, 1u);
+  ASSERT_EQ(stats.per_shard.size(), 1u);
+  EXPECT_EQ(stats.per_shard[0].launch_stats.launches, 3u);
 }
 
 /// The case30 stress recipe (scenario::StressCorpusOptions defaults) phrased
 /// as a serve request: uniformly scaled loads plus a per-request iteration
-/// budget tight enough that both ADMM rungs fail, while the warm-started
+/// budget tight enough that the fused ADMM fails, while the warm-started
 /// MiniIPM fallback converges.
 SolveRequest stress_request(const grid::Network& net) {
   const scenario::StressCorpusOptions corpus;
@@ -1334,10 +1344,10 @@ SolveRequest stress_request(const grid::Network& net) {
 }
 
 TEST(SolveService, StressRequestDefeatsPureAdmmButIpmRungRescues) {
-  // The tentpole acceptance: a stress request that demonstrably defeats the
-  // pure-ADMM ladder completes converged through the MiniIPM rung, with the
-  // rescue attributed (engine, escalated, stats split) and the objective
-  // agreeing with a direct MiniIPM solve of the same scenario to 1e-4.
+  // A stress request that demonstrably defeats the pure-ADMM path completes
+  // converged through the MiniIPM rung, with the rescue attributed (engine,
+  // stats split) and the objective agreeing with a direct MiniIPM solve of
+  // the same scenario to 1e-4.
   const auto net = grid::load_embedded_case("case30");
   const auto params = admm::params_for_case("case30", net.num_buses());
 
@@ -1346,8 +1356,6 @@ TEST(SolveService, StressRequestDefeatsPureAdmmButIpmRungRescues) {
     options.max_batch_size = 2;
     options.batching_window_seconds = 0.01;
     options.cache.capacity = 0;
-    options.escalation_retry = true;
-    options.convergence_sample_interval = 8;
     options.engine_fallback = fallback;
     SolveService service(net, params, options);
     auto result = service.submit(stress_request(net)).get();
@@ -1356,8 +1364,8 @@ TEST(SolveService, StressRequestDefeatsPureAdmmButIpmRungRescues) {
     return std::make_pair(std::move(result), std::move(stats));
   };
 
-  // Router off: both ADMM rungs exhaust their budgets and the future is
-  // fulfilled with a non-converged result — the gap the router closes.
+  // Router off: the fused ADMM exhausts the request's budget and the future
+  // is fulfilled with a non-converged result — the gap the router closes.
   const auto pure = run(false);
   EXPECT_FALSE(pure.first.converged);
   EXPECT_EQ(pure.first.engine, SolveEngine::kAdmm);
@@ -1367,7 +1375,6 @@ TEST(SolveService, StressRequestDefeatsPureAdmmButIpmRungRescues) {
   // Router on: same request, rescued by the IPM rung.
   const auto routed = run(true);
   EXPECT_TRUE(routed.first.converged);
-  EXPECT_TRUE(routed.first.escalated);
   EXPECT_EQ(routed.first.engine, SolveEngine::kIpm);
   EXPECT_LT(routed.first.max_violation, 1e-5);
   EXPECT_EQ(routed.second.completed, 1u);
@@ -1375,8 +1382,7 @@ TEST(SolveService, StressRequestDefeatsPureAdmmButIpmRungRescues) {
   EXPECT_EQ(routed.second.completed_admm, 0u);
   EXPECT_EQ(routed.second.ipm_attempts, 1u);
   EXPECT_EQ(routed.second.ipm_failures, 0u);
-  EXPECT_EQ(routed.second.completed_admm + routed.second.completed_escalated_admm +
-                routed.second.completed_ipm,
+  EXPECT_EQ(routed.second.completed_admm + routed.second.completed_ipm,
             routed.second.completed);
 
   // Objective agreement with the direct MiniIPM path on the same scenario.
@@ -1423,6 +1429,57 @@ TEST(SolveService, IpmRungFailureSurfacesTypedConvergenceError) {
   EXPECT_EQ(stats.completed + stats.failed + stats.deadline_shed, stats.submitted);
 }
 
+/// The value of one series in a Prometheus text exposition (NaN if absent).
+double series_value(const std::string& prom, const std::string& series) {
+  const auto at = prom.find("\n" + series + " ");
+  if (at == std::string::npos) return std::nan("");
+  return std::stod(prom.substr(at + series.size() + 2));
+}
+
+TEST(SolveService, FailedRequestStageSamplesSumToItsOwnLatency) {
+  // A request that fails at the IPM rung records its seven stage samples,
+  // and they sum to its own admit -> fulfill time: the stage, solve and
+  // extract stages it ran carry their time, and no stage reads the time
+  // since the trace epoch. The epoch is set at static initialisation, so
+  // waiting first makes that time longer than the request's own latency.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto net = grid::load_embedded_case("case9");
+  const auto params = admm::params_for_case("case9", net.num_buses());
+  const auto loads = base_loads(net);
+
+  ServiceOptions options;
+  options.max_batch_size = 1;
+  options.batching_window_seconds = 0.0;
+  options.cache.capacity = 0;
+  options.engine_fallback = true;
+  options.slo = true;
+  SolveService service(net, params, options);
+
+  SolveRequest hopeless;  // as in IpmRungFailureSurfacesTypedConvergenceError
+  hopeless.pd = scaled(loads.pd, 10.0);
+  hopeless.qd = scaled(loads.qd, 10.0);
+  hopeless.controls.max_inner_iterations = 20;
+  hopeless.controls.max_outer_iterations = 2;
+  const auto submitted = std::chrono::steady_clock::now();
+  auto future = service.submit(std::move(hopeless));
+  EXPECT_THROW(future.get(), ConvergenceError);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - submitted).count();
+
+  const std::string prom = service.metrics().expose_prometheus();
+  double stage_sum = 0.0;
+  for (int st = 0; st < RequestTimeline::kStageCount; ++st) {
+    const std::string name =
+        std::string("serve_stage_") + RequestTimeline::stage_name(st) + "_seconds";
+    EXPECT_EQ(series_value(prom, name + "_count"), 1.0) << name;
+    stage_sum += series_value(prom, name + "_sum");
+  }
+  EXPECT_GT(series_value(prom, "serve_stage_solve_seconds_sum"), 0.0);
+  EXPECT_GT(stage_sum, 0.0);
+  EXPECT_LE(stage_sum, elapsed);
+  EXPECT_EQ(service.stats().failed, 1u);
+}
+
 TEST(SolveService, DeadlineExpiredAtEscalationPickupShedsInsteadOfRescuing) {
   // Satellite of the router: a request whose deadline passes during the
   // fused ADMM solve is shed as a deadline miss at escalation pickup — the
@@ -1439,10 +1496,16 @@ TEST(SolveService, DeadlineExpiredAtEscalationPickupShedsInsteadOfRescuing) {
   options.clock = clock;
   SolveService service(net, params, options);
 
-  // The stressed rung-1 solve takes well over 40 ms; admission and dispatch
-  // pickup happen within a few ms. The deadline lands in between.
+  // Admission and dispatch pickup happen within a few ms; the fused solve
+  // lasts past 100 ms, held there on any machine by a latency spike
+  // injected into its first device event. The deadline lands in between.
   SolveRequest request = stress_request(net);
   request.deadline = clock->now() + 0.04;
+  device::FaultPlan plan;
+  plan.latency_spike_probability = 1.0;
+  plan.latency_spike_seconds = 0.1;
+  plan.limit = 1;
+  FaultScope slow_solve(plan);
   auto future = service.submit(std::move(request));
   try {
     future.get();
@@ -1461,7 +1524,7 @@ TEST(SolveService, DeadlineExpiredAtEscalationPickupShedsInsteadOfRescuing) {
 }
 
 TEST(SolveService, EngineSplitSumsUnderConcurrentSubmittersWithFaultsOn) {
-  // Four concurrent submitters, faults armed, full ladder enabled, and a
+  // Four concurrent submitters, faults armed, the IPM rung enabled, and a
   // mix of healthy and starved requests: the ledger balances and the
   // per-engine completion split sums exactly to completed — counted both
   // from the service stats and independently from the results themselves.
@@ -1481,16 +1544,13 @@ TEST(SolveService, EngineSplitSumsUnderConcurrentSubmittersWithFaultsOn) {
   options.cache.capacity = 0;
   options.max_retries = 1;
   options.retry_backoff_seconds = 0.0;
-  options.escalation_retry = true;
-  options.escalation_budget_boost = 1000.0;
-  options.convergence_sample_interval = 1;
   options.engine_fallback = true;
   SolveService service(net, params, options);
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 5;
   std::atomic<int> completed{0}, failed{0};
-  std::atomic<int> by_engine[3] = {{0}, {0}, {0}};
+  std::atomic<int> by_engine[kSolveEngineCount] = {{0}, {0}};
   std::vector<std::thread> submitters;
   submitters.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -1501,8 +1561,8 @@ TEST(SolveService, EngineSplitSumsUnderConcurrentSubmittersWithFaultsOn) {
         request.pd = scaled(loads.pd, f);
         request.qd = scaled(loads.qd, f);
         if (i % 2 == 1) {
-          // Starved budget: stalls in the fused batch, flagged by
-          // should_escalate, recovered by the boosted solo rung.
+          // Starved budget: non-converged in the fused batch, rescued by
+          // the IPM rung.
           request.controls.max_inner_iterations = 1;
           request.controls.max_outer_iterations = 1;
         }
@@ -1510,7 +1570,6 @@ TEST(SolveService, EngineSplitSumsUnderConcurrentSubmittersWithFaultsOn) {
           const auto result = service.submit(std::move(request)).get();
           ++completed;
           ++by_engine[static_cast<int>(result.engine)];
-          EXPECT_EQ(result.escalated, result.engine != SolveEngine::kAdmm);
         } catch (const GridError&) {
           ++failed;
         }
@@ -1526,14 +1585,15 @@ TEST(SolveService, EngineSplitSumsUnderConcurrentSubmittersWithFaultsOn) {
   EXPECT_EQ(stats.completed + stats.failed + stats.deadline_shed, stats.submitted);
   // Engine split: stats agree with the per-result attribution, and sum
   // exactly to completed.
-  EXPECT_EQ(stats.completed_admm, static_cast<std::uint64_t>(by_engine[0].load()));
-  EXPECT_EQ(stats.completed_escalated_admm, static_cast<std::uint64_t>(by_engine[1].load()));
-  EXPECT_EQ(stats.completed_ipm, static_cast<std::uint64_t>(by_engine[2].load()));
-  EXPECT_EQ(stats.completed_admm + stats.completed_escalated_admm + stats.completed_ipm,
-            stats.completed);
+  EXPECT_EQ(stats.completed_admm,
+            static_cast<std::uint64_t>(
+                by_engine[static_cast<int>(SolveEngine::kAdmm)].load()));
+  EXPECT_EQ(stats.completed_ipm,
+            static_cast<std::uint64_t>(by_engine[static_cast<int>(SolveEngine::kIpm)].load()));
+  EXPECT_EQ(stats.completed_admm + stats.completed_ipm, stats.completed);
   EXPECT_GE(stats.ipm_attempts, stats.completed_ipm + stats.ipm_failures);
-  // The starved half really exercised the ladder.
-  EXPECT_GT(stats.completed_escalated_admm + stats.completed_ipm, 0u);
+  // The starved half really reached the IPM rung.
+  EXPECT_GT(stats.completed_ipm, 0u);
 }
 
 TEST(SolveService, DisabledRouterIsBitIdenticalAndBuildsNoFallbackEngine) {
@@ -1578,7 +1638,6 @@ TEST(SolveService, DisabledRouterIsBitIdenticalAndBuildsNoFallbackEngine) {
     SCOPED_TRACE("request " + std::to_string(i));
     EXPECT_TRUE(without_router.first[i].converged);
     EXPECT_EQ(without_router.first[i].engine, SolveEngine::kAdmm);
-    EXPECT_FALSE(without_router.first[i].escalated);
     EXPECT_EQ(with_router.first[i].solution.vm, without_router.first[i].solution.vm);
     EXPECT_EQ(with_router.first[i].solution.va, without_router.first[i].solution.va);
     EXPECT_EQ(with_router.first[i].solution.pg, without_router.first[i].solution.pg);
@@ -1589,7 +1648,6 @@ TEST(SolveService, DisabledRouterIsBitIdenticalAndBuildsNoFallbackEngine) {
   }
   EXPECT_EQ(without_router.second.completed_admm, without_router.second.completed);
   EXPECT_EQ(without_router.second.ipm_attempts, 0u);
-  EXPECT_EQ(without_router.second.completed_escalated_admm, 0u);
   EXPECT_EQ(without_router.second.completed_ipm, 0u);
 }
 
