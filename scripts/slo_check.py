@@ -46,7 +46,7 @@ REQUIRED = [
     "latency_burn_fast",
     "latency_burn_slow",
 ]
-STAGES = ["queue", "dispatch", "form", "stage", "solve", "extract", "fulfill"]
+STAGES = ["queue", "dispatch", "form", "stage", "solve", "extract", "ipm", "fulfill"]
 LEDGER = ["completed", "failed", "deadline_shed", "retries", "quarantine_transitions"]
 ENGINES = ["completed_admm", "completed_ipm", "ipm_attempts", "ipm_failures"]
 

@@ -17,10 +17,6 @@ int chunk_size(int nblocks, int lanes) {
   if (chunk > 1024) chunk = 1024;
   return chunk;
 }
-
-// Launches of at most this many blocks run on the calling thread alone:
-// waking the helpers costs more than the work.
-constexpr int kInlineBlocks = 8;
 }  // namespace
 
 int default_worker_count() {
@@ -93,7 +89,7 @@ void Device::helper_main(int lane) {
   }
 }
 
-void Device::run_job(const std::function<void(int, int)>& kernel, int nblocks) {
+void Device::run_job(const std::function<void(int, int)>& kernel, int nblocks, double work_us) {
   if (nblocks < 0) throw GridError("Device::launch: negative block count");
   const std::lock_guard<std::mutex> serialize(launch_mu_);
   // Fault hook before any work: an injected failure models a launch the
@@ -111,7 +107,10 @@ void Device::run_job(const std::function<void(int, int)>& kernel, int nblocks) {
     const std::lock_guard<std::mutex> lock(error_mu_);
     first_error_ = nullptr;
   }
-  const bool wake = nblocks > kInlineBlocks && !helpers_.empty();
+  // The helpers would take (lanes - 1) / lanes of the work off this thread;
+  // wake them only when that saves more than the fan-out costs.
+  const bool wake = nblocks > 1 && !helpers_.empty() &&
+                    work_us * (lanes_ - 1) > fan_out_us(lanes_) * lanes_;
   if (wake) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
@@ -136,16 +135,18 @@ void Device::run_job(const std::function<void(int, int)>& kernel, int nblocks) {
   if (err) std::rethrow_exception(err);
   stats_.launches += 1;
   stats_.blocks += static_cast<std::uint64_t>(nblocks);
+  stats_.fan_outs += wake ? 1 : 0;
   stats_.busy_seconds += timer.seconds();
 }
 
-void Device::launch(int nblocks, const std::function<void(int)>& kernel) {
+void Device::launch(int nblocks, const std::function<void(int)>& kernel, double work_us) {
   const std::function<void(int, int)> wrapped = [&kernel](int block, int) { kernel(block); };
-  run_job(wrapped, nblocks);
+  run_job(wrapped, nblocks, work_us);
 }
 
-void Device::launch_with_lane(int nblocks, const std::function<void(int, int)>& kernel) {
-  run_job(kernel, nblocks);
+void Device::launch_with_lane(int nblocks, const std::function<void(int, int)>& kernel,
+                              double work_us) {
+  run_job(kernel, nblocks, work_us);
 }
 
 Device& default_device() {

@@ -7,18 +7,27 @@
 //
 // This sandbox has no GPU, so this module reproduces the *programming model*
 // and the *execution semantics* on CPU lanes:
-//   - Device::launch(nblocks, kernel) invokes kernel(block) for every block
-//     index, scheduling blocks dynamically over the device's lanes. Lane 0
-//     is the thread that calls launch: it runs blocks itself and then waits
-//     only for the helper threads (lanes 1..n-1) still inside the kernel;
+//   - Device::launch(nblocks, kernel, work_us) invokes kernel(block) for
+//     every block index, scheduling blocks dynamically over the device's
+//     lanes. Lane 0 is the thread that calls launch: it runs blocks itself
+//     and then waits only for the helper threads (lanes 1..n-1) still inside
+//     the kernel;
+//   - a launch wakes the helpers only when it is worth a wake-up: its
+//     launcher's estimate of the work it holds (work_us), times the share
+//     (n-1)/n the helpers would take off the caller, must exceed the cost of
+//     a fan-out on n lanes (fan_out_us(n)). Below that, lane 0 runs every
+//     block. Launches without an estimate count as cheap blocks
+//     (kCheapBlockUs each);
 //   - DeviceBuffer<T> marks arrays as device-resident and counts every
 //     host<->device transfer, so tests can assert the solver loop performs
 //     zero transfers exactly as the paper claims;
-//   - LaunchStats records kernel launches for the scaling benchmarks.
+//   - LaunchStats records kernel launches, and how many fanned out, for the
+//     scaling benchmarks.
 //
 // The substitution is documented in DESIGN.md section 2.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -30,15 +39,34 @@
 
 namespace gridadmm::device {
 
+/// Wall time, in microseconds, that waking one helper lane adds to a launch.
+inline constexpr double kHelperWakeUs = 7.5;
+
+/// Wall time, in microseconds, that a fan-out adds to a launch on `lanes`
+/// lanes: a launch of W us of fixed work whose helpers run on CPUs of their
+/// own takes about W / lanes + fan_out_us(lanes). It grows with the helpers
+/// woken, from a floor of two wake-ups: one helper cost about as much as
+/// two. Measured on a 4-vCPU VM (Intel Xeon, shared host), median (range):
+/// 10.6 us (5-17) on 2 lanes, 11.6 (7-15) on 3, 17.2 (13-26) on 4; each
+/// woken helper also burns about 10 us of CPU. DESIGN.md section 2 says how
+/// to repeat the measurement.
+constexpr double fan_out_us(int lanes) { return kHelperWakeUs * std::max(2, lanes - 1); }
+
+/// Estimated cost, in microseconds, of a block whose launcher gives no
+/// estimate: a few loads and stores, like an outer multiplier block.
+inline constexpr double kCheapBlockUs = 0.01;
+
 /// Aggregate statistics for one Device instance.
 struct LaunchStats {
   std::uint64_t launches = 0;        ///< number of kernel launches
   std::uint64_t blocks = 0;          ///< total blocks executed
+  std::uint64_t fan_outs = 0;        ///< launches that woke the helper lanes
   double busy_seconds = 0.0;         ///< wall time spent inside launches
 
   LaunchStats& operator+=(const LaunchStats& other) {
     launches += other.launches;
     blocks += other.blocks;
+    fan_outs += other.fan_outs;
     busy_seconds += other.busy_seconds;
     return *this;
   }
@@ -49,6 +77,7 @@ inline LaunchStats operator-(const LaunchStats& a, const LaunchStats& b) {
   LaunchStats d;
   d.launches = a.launches - b.launches;
   d.blocks = a.blocks - b.blocks;
+  d.fan_outs = a.fan_outs - b.fan_outs;
   d.busy_seconds = a.busy_seconds - b.busy_seconds;
   return d;
 }
@@ -72,13 +101,25 @@ class Device {
   /// Runs kernel(block) for block in [0, nblocks). Blocks until every
   /// kernel instance finished (CUDA launch + synchronize). Exceptions thrown
   /// by kernel instances are captured, every other block still runs, and
-  /// the first exception is rethrown here.
-  void launch(int nblocks, const std::function<void(int)>& kernel);
+  /// the first exception is rethrown here. `work_us` is the launcher's
+  /// estimate of the whole launch's work in microseconds: the helpers are
+  /// woken only when work_us * (workers - 1) / workers > fan_out_us(workers),
+  /// and otherwise the calling thread runs every block. Which lane runs a block
+  /// never changes what the block computes.
+  void launch(int nblocks, const std::function<void(int)>& kernel, double work_us);
+  /// A launch of cheap blocks: work_us = nblocks * kCheapBlockUs.
+  void launch(int nblocks, const std::function<void(int)>& kernel) {
+    launch(nblocks, kernel, nblocks * kCheapBlockUs);
+  }
 
   /// Like launch(), but hands the lane index [0, workers) to the kernel so
   /// it can use per-lane scratch memory without synchronization. Lane 0 is
   /// always the calling thread.
-  void launch_with_lane(int nblocks, const std::function<void(int, int)>& kernel);
+  void launch_with_lane(int nblocks, const std::function<void(int, int)>& kernel,
+                        double work_us);
+  void launch_with_lane(int nblocks, const std::function<void(int, int)>& kernel) {
+    launch_with_lane(nblocks, kernel, nblocks * kCheapBlockUs);
+  }
 
   [[nodiscard]] const LaunchStats& stats() const { return stats_; }
   void reset_stats() { stats_ = LaunchStats{}; }
@@ -90,7 +131,7 @@ class Device {
 
  private:
   void helper_main(int lane);
-  void run_job(const std::function<void(int, int)>& kernel, int nblocks);
+  void run_job(const std::function<void(int, int)>& kernel, int nblocks, double work_us);
   /// Claims chunks of the current job until none is left and runs them on
   /// `lane`, recording the first exception. Returns the blocks it ran.
   std::uint64_t run_blocks(const std::function<void(int, int)>& kernel, int nblocks, int lane);

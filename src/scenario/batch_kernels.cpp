@@ -4,6 +4,14 @@
 
 namespace gridadmm::scenario {
 
+namespace {
+// Per-block work estimates in microseconds for the device's fan-out rule
+// (device::fan_out_us), measured like those of admm/step_kernels.cpp: one
+// lane, launch time over blocks, 1354pegase and case14.
+constexpr double kChainBlockUs = 0.015;  // up to twelve element copies
+constexpr double kRampBlockUs = 0.01;    // two clamped bounds
+}  // namespace
+
 void batch_chain_state(device::Device& dev, const admm::ComponentModel& model,
                        const admm::BatchAdmmState& src_state, admm::BatchAdmmState& dst_state,
                        std::span<const ChainLink> links) {
@@ -40,7 +48,8 @@ void batch_chain_state(device::Device& dev, const admm::ComponentModel& model,
   auto dbx = dst_state.branch_x.span();
   auto dbs = dst_state.branch_s.span();
   auto dblam = dst_state.branch_lambda.span();
-  dev.launch(static_cast<int>(links.size()) * np, [=](int b) {
+  const int blocks = static_cast<int>(links.size()) * np;
+  dev.launch(blocks, [=](int b) {
     const auto& link = links[static_cast<std::size_t>(b / np)];
     const auto k = static_cast<std::size_t>(b % np);
     auto copy = [&](std::span<const double> from, std::span<double> to, std::size_t extent) {
@@ -61,7 +70,7 @@ void batch_chain_state(device::Device& dev, const admm::ComponentModel& model,
     copy(sbx, dbx, 4 * nl);
     copy(sbs, dbs, 2 * nl);
     copy(sblam, dblam, 2 * nl);
-  });
+  }, blocks * kChainBlockUs);
 }
 
 void batch_apply_ramp(device::Device& dev, const admm::ComponentModel& model,
@@ -74,7 +83,8 @@ void batch_apply_ramp(device::Device& dev, const admm::ComponentModel& model,
   const auto pg = src_state.gen_pg.span();
   auto pmin = dst_state.pmin.span();
   auto pmax = dst_state.pmax.span();
-  dev.launch(static_cast<int>(links.size()) * ng, [=](int b) {
+  const int blocks = static_cast<int>(links.size()) * ng;
+  dev.launch(blocks, [=](int b) {
     const auto& link = links[static_cast<std::size_t>(b / ng)];
     const auto g = static_cast<std::size_t>(b % ng);
     const auto dst = static_cast<std::size_t>(link.dst) * ngz + g;
@@ -82,7 +92,7 @@ void batch_apply_ramp(device::Device& dev, const admm::ComponentModel& model,
     const double ramp = link.ramp_fraction * base_pmax[g];
     pmin[dst] = std::max(base_pmin[g], pg[src] - ramp);
     pmax[dst] = std::min(base_pmax[g], pg[src] + ramp);
-  });
+  }, blocks * kRampBlockUs);
 }
 
 }  // namespace gridadmm::scenario

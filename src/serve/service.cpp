@@ -661,7 +661,7 @@ void SolveService::solve_group(std::vector<Pending>& batch, std::vector<std::siz
   // validation makes a failure here defense-in-depth, and it fails exactly
   // the offending request, never its neighbors. Stamps of a bisected
   // sibling group are not this group's.
-  ctx.form_ns = ctx.stage_ns = ctx.solve_ns = ctx.extract_ns = 0;
+  ctx.form_ns = ctx.stage_ns = ctx.solve_ns = ctx.extract_ns = ctx.ipm_ns = 0;
   scenario::ScenarioSet set(*batch[members.front()].request.network);
   std::vector<std::size_t> formed;
   formed.reserve(members.size());
@@ -758,7 +758,7 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
   device::Device& device = pool_->device(ctx.shard);
   const bool use_cache = options_.cache.capacity > 0;
   if (ctx.attempts++ > 0) m_retries_->inc();  // a transient retry or a bisected half
-  ctx.stage_ns = ctx.solve_ns = ctx.extract_ns = 0;  // an earlier attempt's
+  ctx.stage_ns = ctx.solve_ns = ctx.extract_ns = ctx.ipm_ns = 0;  // an earlier attempt's
   scenario::BatchAdmmSolver solver(set, params_, &device);
   if (ctx.timeline_on) {
     ctx.stage_ns = obs::now_ns();
@@ -838,6 +838,7 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
     const admm::WarmStartIterate iterate = solver.export_iterate(static_cast<int>(s));
     m_ipm_attempts_->inc();
     obs::instant("serve.ipm_rescue", "req", p.id, "batch", ctx.batch_id);
+    std::exception_ptr failure;
     try {
       scenario::IpmEngineOptions ipm_options;
       ipm_options.ipm.tolerance = options_.ipm_tolerance;
@@ -853,18 +854,28 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
       report.records[s].max_violation = rescue.quality.max_violation;
       engine[s] = SolveEngine::kIpm;
     } catch (...) {
+      failure = std::current_exception();
+    }
+    // The ipm stage ends here, also for a request the rung fails below.
+    if (ctx.timeline_on) ctx.ipm_ns = obs::now_ns();
+    if (failure) {
       // Decisive failure: the future carries the typed error
       // (ConvergenceError, NumericalError, ...) instead of a silently
       // non-converged result.
       m_ipm_failures_->inc();
-      end_without_result(p, std::current_exception(), Ending::kFailedSolve, ctx);
+      end_without_result(p, failure, Ending::kFailedSolve, ctx);
       ended[s] = 1;
     }
+  }
+  // Without a rescue the ipm stage is empty and fulfilment follows extract.
+  const std::uint64_t rescued_ns = ctx.ipm_ns != 0 ? ctx.ipm_ns : ctx.extract_ns;
+  if (ctx.timeline_on && ctx.ipm_ns != 0) {
+    obs::span_between("serve.ipm", ctx.extract_ns, ctx.ipm_ns, "batch", ctx.batch_id);
   }
 
   // ---- Fulfill futures ----
   const double completion_time = clock_->now();
-  std::uint64_t last_fulfill_ns = ctx.extract_ns;
+  std::uint64_t last_fulfill_ns = rescued_ns;
   for (std::size_t s = 0; s < members.size(); ++s) {
     if (ended[s]) continue;  // deadline shed or typed failure at the IPM rung
     Pending& p = batch[members[s]];
@@ -897,7 +908,7 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
     p.promise.set_value(std::move(result));
   }
   if (ctx.timeline_on) {
-    obs::span_between("serve.fulfill", ctx.extract_ns, last_fulfill_ns, "batch", ctx.batch_id,
+    obs::span_between("serve.fulfill", rescued_ns, last_fulfill_ns, "batch", ctx.batch_id,
                       "size", static_cast<std::uint64_t>(members.size()));
   }
 }
@@ -910,10 +921,12 @@ void SolveService::close_timeline(Pending& p, const BatchContext& ctx) const {
   t.stage_ns = ctx.stage_ns;
   t.solve_ns = ctx.solve_ns;
   t.extract_ns = ctx.extract_ns;
+  t.ipm_ns = ctx.ipm_ns;
   t.fulfill_ns = obs::now_ns();
   // A stage the request never reached ends where the one before it did.
-  std::uint64_t* const stamps[] = {&t.admit_ns, &t.queue_ns,  &t.dispatch_ns, &t.form_ns,
-                                   &t.stage_ns, &t.solve_ns, &t.extract_ns};
+  std::uint64_t* const stamps[] = {&t.admit_ns,   &t.queue_ns, &t.dispatch_ns,
+                                   &t.form_ns,    &t.stage_ns, &t.solve_ns,
+                                   &t.extract_ns, &t.ipm_ns};
   for (std::size_t i = 1; i < std::size(stamps); ++i) {
     if (*stamps[i] == 0) *stamps[i] = *stamps[i - 1];
   }

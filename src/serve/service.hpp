@@ -269,6 +269,7 @@ class SolveService {
     std::uint64_t stage_ns = 0;
     std::uint64_t solve_ns = 0;
     std::uint64_t extract_ns = 0;
+    std::uint64_t ipm_ns = 0;  ///< end of the latest IPM rescue
     int attempts = 0;              ///< fused solves issued (IPM rescues excluded)
     int transient_attempts = 0;    ///< attempts lost to TransientDeviceError
     bool exhausted_transient = false;  ///< a group ran out of transient retries
@@ -318,7 +319,7 @@ class SolveService {
   /// Copies the batch stamps into `p`'s timeline, stamps its fulfill
   /// instant and records its stage samples. A stamp the batch has not
   /// reached takes the one before it, so stages the request never ran read
-  /// 0 and its seven stages sum to its own admit -> fulfill time.
+  /// 0 and its eight stages sum to its own admit -> fulfill time.
   void close_timeline(Pending& p, const BatchContext& ctx) const;
   /// Ends one request's future with `error` instead of a result: stamps its
   /// timeline, records its stage samples and counts it as `ending`, so a

@@ -19,7 +19,8 @@ struct ShardServiceStats {
   std::uint64_t batches = 0;   ///< micro-batches this shard solved
   std::uint64_t requests = 0;  ///< requests across those batches
   int in_flight = 0;           ///< requests inside this shard's current solve
-  device::LaunchStats launch_stats;  ///< launches on this shard's device
+  /// Launches on this shard's device (fan_outs is not exported and reads 0).
+  device::LaunchStats launch_stats;
 
   // ---- Circuit-breaker health (DESIGN.md §12) ----
   int state = 0;                     ///< 0 healthy, 1 quarantined, 2 half-open

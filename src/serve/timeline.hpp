@@ -1,17 +1,18 @@
-// Per-request stage timeline: eight timestamps on the obs::now_ns()
+// Per-request stage timeline: nine timestamps on the obs::now_ns()
 // trace clock, stamped as a request moves admit -> queue -> dispatch ->
-// form -> stage -> solve -> extract -> fulfill. The same stamps feed the
-// tracer's span_between() calls, so a request's timeline and its trace
-// spans can never drift apart — one clock, one set of instants, two
+// form -> stage -> solve -> extract -> ipm -> fulfill. The same stamps
+// feed the tracer's span_between() calls, so a request's timeline and its
+// trace spans can never drift apart — one clock, one set of instants, two
 // views (this is the non-drift invariant DESIGN.md §11 documents).
 //
-// Consecutive stamps telescope: stage_seconds(0..6) sums exactly to
+// Consecutive stamps telescope: stage_seconds(0..7) sums exactly to
 // total_seconds(). The struct is a POD carried inside serve::Pending and
 // copied into each SolveResult at fulfillment — no allocation anywhere.
 //
-// Batch-scoped stages (everything from queue_ns through extract_ns) are
+// Batch-scoped stages (everything from queue_ns through ipm_ns) are
 // stamped once per batch and shared by all requests in it; admit_ns and
-// fulfill_ns are per-request.
+// fulfill_ns are per-request. The ipm stage is the MiniIPM rescue of the
+// batch's non-converged members: it reads 0 when no member needed one.
 #pragma once
 
 #include <array>
@@ -27,20 +28,21 @@ struct RequestTimeline {
   std::uint64_t stage_ns = 0;     ///< solver constructed / device staged
   std::uint64_t solve_ns = 0;     ///< ADMM solve returned
   std::uint64_t extract_ns = 0;   ///< per-request results extracted
+  std::uint64_t ipm_ns = 0;       ///< IPM rescues of the batch done
   std::uint64_t fulfill_ns = 0;   ///< promise fulfilled (result visible)
 
-  static constexpr int kStageCount = 7;
+  static constexpr int kStageCount = 8;
 
   static const char* stage_name(int stage) {
     constexpr const char* kNames[kStageCount] = {
-        "queue", "dispatch", "form", "stage", "solve", "extract", "fulfill"};
+        "queue", "dispatch", "form", "stage", "solve", "extract", "ipm", "fulfill"};
     return (stage >= 0 && stage < kStageCount) ? kNames[stage] : "?";
   }
 
-  /// The eight stamps in stage order; stage i spans stamps[i]..stamps[i+1].
+  /// The nine stamps in stage order; stage i spans stamps[i]..stamps[i+1].
   [[nodiscard]] std::array<std::uint64_t, kStageCount + 1> stamps() const {
-    return {admit_ns, queue_ns,  dispatch_ns, form_ns,
-            stage_ns, solve_ns, extract_ns,  fulfill_ns};
+    return {admit_ns, queue_ns,   dispatch_ns, form_ns,   stage_ns,
+            solve_ns, extract_ns, ipm_ns,      fulfill_ns};
   }
 
   /// Duration of stage `stage` in seconds.

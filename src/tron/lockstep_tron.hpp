@@ -258,11 +258,14 @@ void LockstepTron<N, W>::subspace_cg(const M& lanes, const int (&nfree)[W], cons
   // Iteration counts and their caps 2 nf + 4, as (exact) doubles.
   L count(0.0), cap(0.0);
   for (int l = 0; l < W; ++l) cap.set(l, 2.0 * nfree[l] + 4.0);
+  // The stop test. It reads only r and count, so taking it as soon as r
+  // is updated gives every lane the iterations of the scalar loop, whose
+  // test sits at the top; once every lane has stopped, the group skips the
+  // preconditioner solve and the direction update nobody would read.
   M run = lanes;
-  while (true) {
-    run &= (count < cap) & ~(sqrt(free_dot(r_, r_)) <= target);
-    if (!run.any()) break;
-
+  const auto keep_running = [&] { run &= (count < cap) & ~(sqrt(free_dot(r_, r_)) <= target); };
+  keep_running();
+  while (run.any()) {
     // hp = H_ff p.
     for (int i = 0; i < N; ++i) {
       L acc(0.0);
@@ -303,10 +306,10 @@ void LockstepTron<N, W>::subspace_cg(const M& lanes, const int (&nfree)[W], cons
     if (!run.any()) break;
 
     // Interior step: r -= alpha H p, z = M^{-1} r, p = z + beta p.
-    for (int i = 0; i < N; ++i) {
-      r_[i] = select(run, r_[i] - alpha * hp_[i], r_[i]);
-      z_[i] = r_[i];
-    }
+    for (int i = 0; i < N; ++i) r_[i] = select(run, r_[i] - alpha * hp_[i], r_[i]);
+    keep_running();
+    if (!run.any()) break;
+    for (int i = 0; i < N; ++i) z_[i] = r_[i];
     solve_free_block(z_);
     const L rz_next = free_dot(r_, z_);
     const L beta = rz_next / rz;

@@ -8,6 +8,8 @@
 #include "admm/step_kernels.hpp"
 #include "common/rng.hpp"
 #include "grid/cases.hpp"
+#include "scenario/batch_solver.hpp"
+#include "scenario/scenario_set.hpp"
 
 namespace gridadmm::admm {
 namespace {
@@ -311,6 +313,39 @@ TEST(BranchKernel, UpdatesConsensusValuesConsistently) {
     EXPECT_GE(x[4 * l], f.net.buses[f.net.branches[l].from].vmin - 1e-12);
     EXPECT_LE(x[4 * l], f.net.buses[f.net.branches[l].from].vmax + 1e-12);
   }
+}
+
+// The launchers' work estimates against the device's fan-out rule: a
+// one-request case9 or case14 batch is at most about 22 us of work per
+// launch, below what waking the helpers costs on 2, 3 or 4 lanes, while a
+// paper-size x-update is milliseconds.
+TEST(FanOut, OneRequestBatchRunsEveryLaunchOnTheCaller) {
+  for (const char* name : {"case9", "case14"}) {
+    const auto net = grid::load_embedded_case(name);
+    scenario::ScenarioSet set(net);
+    set.add_load_scale(1, 1.0, 1.0);
+    for (const int lanes : {2, 3, 4}) {
+      device::Device dev(lanes);
+      scenario::BatchAdmmSolver solver(set, params_for_case(name, net.num_buses()), &dev);
+      const auto report = solver.solve();
+      EXPECT_GT(report.launch_stats.launches, 100u) << name << " on " << lanes << " lanes";
+      EXPECT_EQ(report.launch_stats.fan_outs, 0u) << name << " on " << lanes << " lanes";
+    }
+  }
+}
+
+TEST(FanOut, PaperSizeXUpdateFansOut) {
+  const auto net = grid::load_case("1354pegase");
+  const auto params = params_for_case("1354pegase", net.num_buses());
+  const auto model = build_component_model(net, params);
+  auto state = BatchAdmmState::single(model, net);
+  const ScenarioView v = state.view(model, 0);
+  const int slots[] = {0};
+  std::vector<BranchWorkspace> lanes;
+  device::Device dev(2);
+  update_x(dev, make_model_view(model), params, {&v, 1}, slots, lanes, nullptr);
+  EXPECT_EQ(dev.stats().launches, 1u);
+  EXPECT_EQ(dev.stats().fan_outs, 1u);
 }
 
 }  // namespace

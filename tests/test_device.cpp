@@ -14,10 +14,15 @@
 namespace gridadmm::device {
 namespace {
 
+// A work estimate far above the fan-out cost: every launch that carries it
+// wakes the helpers, so the tests that exist to exercise helper lanes keep
+// exercising them.
+constexpr double kHeavyUs = 1e6;
+
 TEST(Device, ExecutesEveryBlockExactlyOnce) {
   Device dev(4);
   std::vector<std::atomic<int>> counts(1000);
-  dev.launch(1000, [&](int block) { counts[block].fetch_add(1); });
+  dev.launch(1000, [&](int block) { counts[block].fetch_add(1); }, kHeavyUs);
   for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
 }
 
@@ -32,16 +37,19 @@ TEST(Device, HandlesZeroBlocks) {
 TEST(Device, HandlesMoreBlocksThanWorkers) {
   Device dev(2);
   std::atomic<int> total{0};
-  dev.launch(10000, [&](int) { total.fetch_add(1); });
+  dev.launch(10000, [&](int) { total.fetch_add(1); }, kHeavyUs);
   EXPECT_EQ(total.load(), 10000);
 }
 
 TEST(Device, LaneIndicesAreValid) {
   Device dev(3);
   std::atomic<bool> bad{false};
-  dev.launch_with_lane(500, [&](int, int lane) {
-    if (lane < 0 || lane >= 3) bad.store(true);
-  });
+  dev.launch_with_lane(
+      500,
+      [&](int, int lane) {
+        if (lane < 0 || lane >= 3) bad.store(true);
+      },
+      kHeavyUs);
   EXPECT_FALSE(bad.load());
 }
 
@@ -50,7 +58,7 @@ TEST(Device, LanesAreExclusive) {
   // counters need no synchronization.
   Device dev(4);
   std::vector<long> counters(4, 0);  // deliberately unsynchronized
-  dev.launch_with_lane(20000, [&](int, int lane) { counters[lane] += 1; });
+  dev.launch_with_lane(20000, [&](int, int lane) { counters[lane] += 1; }, kHeavyUs);
   EXPECT_EQ(std::accumulate(counters.begin(), counters.end(), 0L), 20000);
 }
 
@@ -62,16 +70,19 @@ TEST(Device, LaneZeroIsTheCallingThread) {
   for (int launch = 0; launch < 20; ++launch) {
     std::atomic<bool> lane0_ran{false};
     std::atomic<bool> mismatch{false};
-    dev.launch_with_lane(200, [&](int, int lane) {
-      if ((lane == 0) != (std::this_thread::get_id() == caller)) mismatch.store(true);
-      if (lane == 0) {
-        lane0_ran.store(true);
-      } else {
-        // Helpers hold their first block until the caller has run one, so
-        // every launch exercises lane 0 whatever the wake-up timing.
-        while (!lane0_ran.load()) std::this_thread::yield();
-      }
-    });
+    dev.launch_with_lane(
+        200,
+        [&](int, int lane) {
+          if ((lane == 0) != (std::this_thread::get_id() == caller)) mismatch.store(true);
+          if (lane == 0) {
+            lane0_ran.store(true);
+          } else {
+            // Helpers hold their first block until the caller has run one, so
+            // every launch exercises lane 0 whatever the wake-up timing.
+            while (!lane0_ran.load()) std::this_thread::yield();
+          }
+        },
+        kHeavyUs);
     EXPECT_FALSE(mismatch.load()) << "launch " << launch;
     EXPECT_TRUE(lane0_ran.load()) << "launch " << launch;
   }
@@ -115,23 +126,110 @@ TEST(Device, LaneZeroExceptionWaitsForEveryBlockAndHelper) {
                                       std::this_thread::sleep_for(std::chrono::microseconds(50));
                                       ran.fetch_add(1);
                                       inside.fetch_sub(1);
-                                    }),
+                                    },
+                                    kHeavyUs),
                GridError);
   EXPECT_TRUE(thrown.load());
   EXPECT_EQ(ran.load(), kBlocks - 1);
   EXPECT_EQ(inside.load(), 0);
 }
 
+TEST(Device, LaunchBelowTheFanOutCostRunsOnTheCaller) {
+  // The helpers would take 2/3 of the work off the caller: below the
+  // fan-out cost that saves less than waking them costs, so lane 0 runs
+  // every block and no fan-out is counted.
+  Device dev(3);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> off_caller{0};
+  dev.launch_with_lane(
+      200,
+      [&](int, int lane) {
+        if (lane != 0 || std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+      },
+      fan_out_us(3));
+  EXPECT_EQ(off_caller.load(), 0);
+  // A launch without an estimate counts as cheap blocks.
+  dev.launch_with_lane(1000, [&](int, int lane) {
+    if (lane != 0 || std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+  });
+  EXPECT_EQ(off_caller.load(), 0);
+  EXPECT_EQ(dev.stats().launches, 2u);
+  EXPECT_EQ(dev.stats().blocks, 1200u);
+  EXPECT_EQ(dev.stats().fan_outs, 0u);
+}
+
+TEST(Device, LaunchAboveTheFanOutCostSharesBlocksWithHelpers) {
+  // 2/3 of twice the fan-out cost exceeds it: the helpers are woken and
+  // run blocks beside the caller.
+  Device dev(3);
+  std::atomic<bool> helper_ran{false};
+  std::atomic<int> ran{0};
+  bool lane0_waited = false;  // touched by lane 0 only
+  dev.launch_with_lane(
+      200,
+      [&](int, int lane) {
+        ran.fetch_add(1);
+        if (lane != 0) {
+          helper_ran.store(true);
+          return;
+        }
+        // Lane 0 holds its first block until a helper has run one (bounded,
+        // so a helper that never wakes fails the test instead of hanging it).
+        if (lane0_waited) return;
+        lane0_waited = true;
+        const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!helper_ran.load() && std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
+        }
+      },
+      2.0 * fan_out_us(3));
+  EXPECT_TRUE(helper_ran.load());
+  EXPECT_EQ(ran.load(), 200);
+  EXPECT_EQ(dev.stats().launches, 1u);
+  EXPECT_EQ(dev.stats().fan_outs, 1u);
+  // Neither a one-block launch nor a one-lane device can share its work.
+  dev.launch(1, [](int) {}, kHeavyUs);
+  Device solo(1);
+  solo.launch(200, [](int) {}, kHeavyUs);
+  EXPECT_EQ(dev.stats().fan_outs, 1u);
+  EXPECT_EQ(solo.stats().fan_outs, 0u);
+}
+
+TEST(Device, FanOutCostGrowsWithTheHelpersWoken) {
+  // Each woken helper adds a wake-up, and a fan-out costs at least two:
+  // 2 and 3 lanes share one cost, 4 lanes pay for a third helper. From 3
+  // lanes on, adding lanes never makes a launch of the same work fan out
+  // sooner.
+  EXPECT_DOUBLE_EQ(fan_out_us(2), 2.0 * kHelperWakeUs);
+  EXPECT_DOUBLE_EQ(fan_out_us(3), 2.0 * kHelperWakeUs);
+  EXPECT_DOUBLE_EQ(fan_out_us(4), 3.0 * kHelperWakeUs);
+  double last_cutoff = 0.0;
+  for (int lanes = 3; lanes <= 16; ++lanes) {
+    const double cutoff = fan_out_us(lanes) * lanes / (lanes - 1);
+    EXPECT_GE(cutoff, last_cutoff) << lanes << " lanes";
+    last_cutoff = cutoff;
+  }
+  // On 4 lanes the cutoff is 4 x kHelperWakeUs of work: just below it the
+  // caller runs every block, just above it the helpers are woken.
+  Device dev(4);
+  dev.launch(64, [](int) {}, 4.0 * kHelperWakeUs - 0.5);
+  EXPECT_EQ(dev.stats().fan_outs, 0u);
+  dev.launch(64, [](int) {}, 4.0 * kHelperWakeUs + 0.5);
+  EXPECT_EQ(dev.stats().fan_outs, 1u);
+}
+
 TEST(Device, PropagatesKernelException) {
   Device dev(2);
-  EXPECT_THROW(
-      dev.launch(100, [&](int block) {
-        if (block == 57) throw GridError("bad block");
-      }),
-      GridError);
+  EXPECT_THROW(dev.launch(
+                   100,
+                   [&](int block) {
+                     if (block == 57) throw GridError("bad block");
+                   },
+                   kHeavyUs),
+               GridError);
   // Device remains usable afterwards.
   std::atomic<int> total{0};
-  dev.launch(10, [&](int) { total.fetch_add(1); });
+  dev.launch(10, [&](int) { total.fetch_add(1); }, kHeavyUs);
   EXPECT_EQ(total.load(), 10);
 }
 
@@ -143,18 +241,19 @@ TEST(Device, RejectsNegativeBlockCount) {
 TEST(Device, CountsLaunchStats) {
   Device dev(2);
   dev.reset_stats();
-  dev.launch(10, [](int) {});
-  dev.launch(20, [](int) {});
+  dev.launch(10, [](int) {}, kHeavyUs);
+  dev.launch(20, [](int) {}, kHeavyUs);
   EXPECT_EQ(dev.stats().launches, 2u);
   EXPECT_EQ(dev.stats().blocks, 30u);
+  EXPECT_EQ(dev.stats().fan_outs, 2u);
 }
 
 TEST(Device, SequentialLaunchesSeeEachOthersWrites) {
   Device dev(4);
   std::vector<double> data(1000, 0.0);
-  dev.launch(1000, [&](int i) { data[i] = i; });
+  dev.launch(1000, [&](int i) { data[i] = i; }, kHeavyUs);
   std::vector<double> copy(1000, 0.0);
-  dev.launch(1000, [&](int i) { copy[i] = 2.0 * data[i]; });
+  dev.launch(1000, [&](int i) { copy[i] = 2.0 * data[i]; }, kHeavyUs);
   for (int i = 0; i < 1000; ++i) EXPECT_DOUBLE_EQ(copy[i], 2.0 * i);
 }
 
@@ -256,9 +355,13 @@ TEST(DevicePool, DevicesLaunchConcurrently) {
   DevicePool pool(2, 2);
   std::atomic<int> total{0};
   std::thread other([&] {
-    for (int i = 0; i < 50; ++i) pool.device(1).launch(100, [&](int) { total.fetch_add(1); });
+    for (int i = 0; i < 50; ++i) {
+      pool.device(1).launch(100, [&](int) { total.fetch_add(1); }, kHeavyUs);
+    }
   });
-  for (int i = 0; i < 50; ++i) pool.device(0).launch(100, [&](int) { total.fetch_add(1); });
+  for (int i = 0; i < 50; ++i) {
+    pool.device(0).launch(100, [&](int) { total.fetch_add(1); }, kHeavyUs);
+  }
   other.join();
   EXPECT_EQ(total.load(), 10000);
 }

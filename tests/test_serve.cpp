@@ -1327,6 +1327,55 @@ TEST(SolveService, StarvedRequestGoesStraightToIpmRungAfterOneAdmmSolve) {
   EXPECT_EQ(stats.per_shard[0].launch_stats.launches, 3u);
 }
 
+TEST(SolveService, IpmStageHoldsTheRescueAndFulfilDoesNot) {
+  // A rescued request's MiniIPM time is its ipm stage, not its fulfil
+  // stage; a request that needed no rescue reads exactly 0 there. Both
+  // timelines still telescope to their admit -> fulfil latency.
+  const auto net = grid::load_embedded_case("case9");
+  const auto params = admm::params_for_case("case9", net.num_buses());
+
+  ServiceOptions options;
+  options.max_batch_size = 1;
+  options.batching_window_seconds = 0.0;
+  options.cache.capacity = 0;
+  options.engine_fallback = true;
+  options.slo = true;
+  SolveService service(net, params, options);
+
+  constexpr int kIpm = 6;
+  constexpr int kFulfil = 7;
+  ASSERT_STREQ(RequestTimeline::stage_name(kIpm), "ipm");
+  ASSERT_STREQ(RequestTimeline::stage_name(kFulfil), "fulfill");
+  const auto stage_sum = [](const RequestTimeline& tl) {
+    double sum = 0.0;
+    for (int st = 0; st < RequestTimeline::kStageCount; ++st) sum += tl.stage_seconds(st);
+    return sum;
+  };
+
+  SolveRequest starved;  // as in StarvedRequestGoesStraightToIpmRungAfterOneAdmmSolve
+  starved.controls.max_inner_iterations = 1;
+  starved.controls.max_outer_iterations = 1;
+  const auto rescued = service.submit(std::move(starved)).get();
+  ASSERT_EQ(rescued.engine, SolveEngine::kIpm);
+  const RequestTimeline& r = rescued.timeline;
+  EXPECT_TRUE(r.complete());
+  EXPECT_GT(r.stage_seconds(kIpm), 0.0);
+  EXPECT_LT(r.stage_seconds(kFulfil), r.stage_seconds(kIpm));
+  EXPECT_NEAR(stage_sum(r), r.total_seconds(), 1e-12);
+
+  const auto plain = service.submit(SolveRequest{}).get();
+  ASSERT_EQ(plain.engine, SolveEngine::kAdmm);
+  const RequestTimeline& a = plain.timeline;
+  EXPECT_TRUE(a.complete());
+  EXPECT_EQ(a.ipm_ns, a.extract_ns);
+  EXPECT_EQ(a.stage_seconds(kIpm), 0.0);
+  EXPECT_NEAR(stage_sum(a), a.total_seconds(), 1e-12);
+
+  service.drain();
+  const std::string prom = service.metrics().expose_prometheus();
+  EXPECT_NE(prom.find("serve_stage_ipm_seconds_count 2"), std::string::npos);
+}
+
 /// The case30 stress recipe (scenario::StressCorpusOptions defaults) phrased
 /// as a serve request: uniformly scaled loads plus a per-request iteration
 /// budget tight enough that the fused ADMM fails, while the warm-started
@@ -1437,7 +1486,7 @@ double series_value(const std::string& prom, const std::string& series) {
 }
 
 TEST(SolveService, FailedRequestStageSamplesSumToItsOwnLatency) {
-  // A request that fails at the IPM rung records its seven stage samples,
+  // A request that fails at the IPM rung records its eight stage samples,
   // and they sum to its own admit -> fulfill time: the stage, solve and
   // extract stages it ran carry their time, and no stage reads the time
   // since the trace epoch. The epoch is set at static initialisation, so
