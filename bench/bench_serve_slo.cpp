@@ -181,8 +181,7 @@ int main(int argc, char** argv) {
   service_options.slo_objectives.fast_window_seconds = std::max(1.0, duration / 4.0);
   service_options.slo_objectives.slow_window_seconds = std::max(2.0, duration);
   service_options.expo_port = expo_port;
-  // The warm-started MiniIPM rung for anything the fused ADMM leaves
-  // non-converged.
+  // The MiniIPM rung for anything the fused ADMM leaves non-converged.
   service_options.engine_fallback = stress;
   serve::SolveService service(base, params, service_options);
   if (service.expo() != nullptr) {

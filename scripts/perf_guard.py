@@ -5,9 +5,17 @@ Usage: perf_guard.py FRESH_JSONL BASELINE_JSONL
 
 Compares the smoke-mode bench records produced by the current build against
 the BENCH_scenario_batch.json committed at the repo root (the first real
-consumer of the benchmark trajectory). Two checks, both over the
+consumer of the benchmark trajectory). Every check runs over the
 intersection of record keys — records only one side has are ignored, so the
 baseline may carry extra full-protocol evidence records:
+
+- scenario_batch and kernel_breakdown records, keyed by (bench, case, S,
+  shards, engine, phase): every work counter in WORK_COUNTERS that the
+  baseline record carries must be present in the fresh record and equal to
+  it exactly. These counts (fused steps, launches, blocks, converged
+  scenarios, ADMM and TRON/CG/auglag/evaluation iterations per step) repeat
+  bit for bit on any machine, so any change is a change in the work done; a
+  change that moves them on purpose re-records the baseline.
 
 - kernel_breakdown "total" records, keyed by (case, S): the branch phase's
   share of the fused loop must not exceed the baseline share by more than
@@ -39,6 +47,17 @@ SCEN_PER_SEC_RATIO = 0.4       # fresh must be >= this fraction of baseline
 SLO_P99_RATIO = 5.0            # fresh p99 ceiling, as a multiple of baseline
 SLO_P99_SLACK_MS = 20.0        # plus this absolute slack (timer noise floor)
 SLO_SHED_TOLERANCE = 0.15      # absolute shed-rate points
+WORK_COUNTERS = (
+    "fused_steps",
+    "launches",
+    "blocks",
+    "converged",
+    "iters_per_step",
+    "tron_iters_per_step",
+    "cg_iters_per_step",
+    "auglag_iters_per_step",
+    "evals_per_step",
+)
 
 
 def load_records(path):
@@ -53,6 +72,17 @@ def load_records(path):
             except json.JSONDecodeError:
                 continue
     return records
+
+
+def work_records(records):
+    out = {}
+    for rec in records:
+        if rec.get("bench") not in ("scenario_batch", "kernel_breakdown"):
+            continue
+        key = (rec.get("bench"), rec.get("case"), rec.get("S"), rec.get("shards", 1),
+               rec.get("engine"), rec.get("phase"))
+        out[key] = rec
+    return out
 
 
 def breakdown_totals(records):
@@ -94,6 +124,21 @@ def main():
 
     violations = []
     compared = 0
+
+    fresh_work = work_records(fresh)
+    base_work = work_records(baseline)
+    for key in sorted(set(fresh_work) & set(base_work), key=str):
+        compared += 1
+        for name in WORK_COUNTERS:
+            if name not in base_work[key]:
+                continue
+            fresh_value = fresh_work[key].get(name)
+            base_value = base_work[key][name]
+            if fresh_value != base_value:
+                violations.append(
+                    f"work counter {name} changed for {key}: {fresh_value} vs baseline "
+                    f"{base_value} (must be equal)"
+                )
 
     fresh_totals = breakdown_totals(fresh)
     base_totals = breakdown_totals(baseline)

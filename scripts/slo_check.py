@@ -26,7 +26,7 @@ Checks, stdlib only:
   --expect-escalation (the escalation-smoke CI step) makes the split fields
   mandatory and additionally demands at least one IPM rescue somewhere in
   the sweep — proof the stress tenant really defeated ADMM and the
-  warm-started MiniIPM rung caught it.
+  MiniIPM rung caught it.
 
 Exits non-zero listing every violation.
 """

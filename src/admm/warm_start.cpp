@@ -47,8 +47,4 @@ grid::OpfSolution to_solution(const grid::Network& net, std::span<const double> 
   return sol;
 }
 
-grid::OpfSolution to_solution(const WarmStartIterate& it, const grid::Network& net) {
-  return to_solution(net, it.bus_w, it.bus_theta, it.gen_pg, it.gen_qg);
-}
-
 }  // namespace gridadmm::admm

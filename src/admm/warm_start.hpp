@@ -47,19 +47,12 @@ void require_matches(const WarmStartIterate& it, const ComponentModel& model,
 
 /// The one map from a scenario's bus and generator variables (host copies
 /// of one slot) to the solution the paper reports: vm = sqrt(max(w,
-/// 1e-12)), va = theta - theta[ref], dispatch as is. AdmmSolver::solution,
-/// the batch engine's per-wave capture and the IPM fallback's seed all run
-/// it. Throws ValidationError on a size mismatch with `net`.
+/// 1e-12)), va = theta - theta[ref], dispatch as is. AdmmSolver::solution
+/// and the batch engine's per-wave capture both run it. Throws
+/// ValidationError on a size mismatch with `net`.
 [[nodiscard]] grid::OpfSolution to_solution(const grid::Network& net, std::span<const double> w,
                                             std::span<const double> theta,
                                             std::span<const double> pg,
                                             std::span<const double> qg);
-
-/// to_solution over an iterate's variables. This is how a (possibly
-/// non-converged) ADMM iterate seeds the MiniIPM fallback's primal — the
-/// consensus copies and multipliers are deliberately dropped, the IPM has
-/// no use for them.
-[[nodiscard]] grid::OpfSolution to_solution(const WarmStartIterate& it,
-                                            const grid::Network& net);
 
 }  // namespace gridadmm::admm

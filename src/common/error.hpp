@@ -67,12 +67,12 @@ class DeadlineError : public GridError {
 };
 
 /// Raised when every rung of the engine escalation ladder was exhausted and
-/// the scenario still did not converge — batch ADMM, the boosted solo
-/// retry, and the warm-started MiniIPM fallback all failed or ran out of
-/// budget. Terminal for the request (not retryable): the same inputs will
-/// fail the same way. Carries the final engine's diagnostics in the message
-/// so callers can tell a KKT factorization failure apart from an iteration
-/// or wall-clock budget exhaustion.
+/// the scenario still did not converge — batch ADMM and the MiniIPM
+/// fallback both failed or ran out of budget. Terminal for the request (not
+/// retryable): the same inputs will fail the same way. Carries the final
+/// engine's diagnostics in the message so callers can tell a KKT
+/// factorization failure apart from an iteration or wall-clock budget
+/// exhaustion.
 class ConvergenceError : public GridError {
  public:
   explicit ConvergenceError(const std::string& what) : GridError(what) {}

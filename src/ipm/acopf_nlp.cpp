@@ -329,15 +329,4 @@ grid::OpfSolution AcopfNlp::unpack(std::span<const double> x) const {
   return sol;
 }
 
-void AcopfNlp::pack(const grid::OpfSolution& sol, std::span<double> x) const {
-  for (int i = 0; i < net_.num_buses(); ++i) {
-    x[vm_col(i)] = sol.vm[i];
-    x[va_col(i)] = sol.va[i];
-  }
-  for (int g = 0; g < net_.num_generators(); ++g) {
-    x[pg_col(g)] = sol.pg[g];
-    x[qg_col(g)] = sol.qg[g];
-  }
-}
-
 }  // namespace gridadmm::ipm

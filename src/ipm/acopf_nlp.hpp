@@ -39,8 +39,6 @@ class AcopfNlp final : public Nlp {
 
   /// Unpacks an NLP primal vector into a grid solution.
   [[nodiscard]] grid::OpfSolution unpack(std::span<const double> x) const;
-  /// Packs a grid solution into an NLP primal vector (warm starts).
-  void pack(const grid::OpfSolution& sol, std::span<double> x) const;
 
   [[nodiscard]] const grid::Network& network() const { return net_; }
 

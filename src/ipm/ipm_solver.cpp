@@ -94,13 +94,6 @@ void IpmSolver::build_structures() {
   c_trial_.assign(static_cast<std::size_t>(m_), 0.0);
 }
 
-void IpmSolver::set_primal(std::span<const double> x) {
-  require(static_cast<int>(x.size()) == n_, "IpmSolver::set_primal: size mismatch");
-  std::copy(x.begin(), x.end(), x_.begin());
-  have_state_ = true;
-  have_dual_state_ = false;  // an external primal seed invalidates old duals
-}
-
 void IpmSolver::initialize_iterate() {
   const bool warm = options_.warm_start && have_state_;
   const double push = warm ? options_.warm_bound_push : options_.bound_push;
@@ -125,9 +118,7 @@ void IpmSolver::initialize_iterate() {
       x_[i] = std::min(x_[i], hi - push * std::max(1.0, std::abs(hi)));
     }
   }
-  if (!warm || !have_dual_state_) {
-    // Cold duals: either a genuinely cold start, or a primal-only warm
-    // start (set_primal) whose seed carries no multiplier information.
+  if (!warm) {
     std::fill(lambda_.begin(), lambda_.end(), 0.0);
     for (int i = 0; i < nx_; ++i) {
       zl_[i] = finite(lower_[i]) ? 1.0 : 0.0;
@@ -382,7 +373,6 @@ IpmResult IpmSolver::solve() {
   }
 
   have_state_ = true;
-  have_dual_state_ = true;
   result.mu = mu;
   result.objective = nlp_.eval_objective({x_.data(), static_cast<std::size_t>(n_)});
   if (!finite(result.objective)) {

@@ -29,7 +29,7 @@ struct IpmOptions {
   double tau_min = 0.99;         ///< fraction-to-boundary floor
   double bound_push = 1e-2;      ///< cold-start interior push (kappa_1)
   double warm_bound_push = 1e-6; ///< warm-start interior push
-  bool warm_start = false;       ///< keep caller-provided primal/dual state
+  bool warm_start = false;       ///< resume from the previous solve()'s state
   int max_backtracks = 30;
   double armijo_coefficient = 1e-4;
   linalg::OrderingMethod ordering = linalg::OrderingMethod::kMinDegree;
@@ -76,12 +76,6 @@ class IpmSolver {
 
   /// Primal values of the NLP variables (excludes internal slacks).
   [[nodiscard]] std::span<const double> primal() const { return {x_.data(), static_cast<std::size_t>(n_)}; }
-  /// Overrides the primal start (e.g. the previous period's solution or an
-  /// ADMM iterate). A warm start seeded this way keeps the primal but
-  /// re-initializes the duals cold — an ADMM iterate carries no usable
-  /// multipliers for the IPM's bound duals; only a previous solve() leaves
-  /// full warm state behind.
-  void set_primal(std::span<const double> x);
 
   [[nodiscard]] const IpmOptions& options() const { return options_; }
   IpmOptions& options() { return options_; }
@@ -114,8 +108,7 @@ class IpmSolver {
   // Iterate.
   std::vector<double> x_;           // X = [x; s]
   std::vector<double> lambda_, zl_, zu_;
-  bool have_state_ = false;       // primal seed available (set_primal/solve)
-  bool have_dual_state_ = false;  // duals are from a previous solve()
+  bool have_state_ = false;  // a previous solve() left its primal-dual state
 
   // Work arrays.
   std::vector<double> grad_, c_, jac_values_, hess_values_;

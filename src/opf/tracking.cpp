@@ -47,7 +47,6 @@ std::vector<PeriodRecord> TrackingSimulator::run() {
   std::vector<double> pmin(ng), pmax(ng);
   std::vector<double> admm_prev_pg, ipm_prev_pg;
 
-  if (options_.trace) obs::Tracer::instance().enable();
   std::vector<PeriodRecord> records;
   records.reserve(static_cast<std::size_t>(options_.periods));
   for (int t = 0; t < options_.periods; ++t) {
@@ -142,9 +141,7 @@ BatchTrackingResult run_batched_tracking_impl(const grid::Network& net,
   // Only the current and previous period's state stay resident, so device
   // memory is O(2 x profiles x case) for any horizon length.
   scenario::BatchSolveOptions solve_options;
-  solve_options.trace = options.trace;
   solve_options.convergence_sample_interval = options.convergence_sample_interval;
-  if (options.trace) obs::Tracer::instance().enable();
   const obs::TraceSpan tracking_span("tracking.batched", "profiles",
                                      static_cast<std::uint64_t>(num_profiles), "periods",
                                      static_cast<std::uint64_t>(options.periods));

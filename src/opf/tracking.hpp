@@ -30,10 +30,6 @@ struct TrackingOptions {
   std::uint64_t profile_seed = 7;
   bool run_ipm = true;          ///< also track with the baseline
   ipm::IpmOptions ipm;
-  /// Enables the process-wide obs::Tracer for the run: sequential mode
-  /// emits one tracking.period span per period, batched mode traces each
-  /// period's fused wave (see scenario::BatchSolveOptions::trace).
-  bool trace = false;
   /// Batched mode only: per-scenario convergence sampling interval of the
   /// fused solve (trajectories on BatchTrackingResult::report.convergence,
   /// indexed scenario-major: profile's first_index + period). 0 = off.

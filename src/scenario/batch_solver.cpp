@@ -321,11 +321,11 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
   std::vector<int> active(wave.begin(), wave.end());
   for (const int s : active) {
     // Termination knobs resolve against the batch-wide params, exactly as
-    // solve_sequential resolves them.
+    // solve_sequential resolves them. Batch solves record no residual history.
     const auto& sc = scenarios_[static_cast<std::size_t>(s)];
     ctrl_[static_cast<std::size_t>(s)] =
         admm::LoopControl(effective_params(params_, sc.controls),
-                          beta_[static_cast<std::size_t>(s)], options.record_history, sc.name);
+                          beta_[static_cast<std::size_t>(s)], false, sc.name);
   }
 
   const int lanes = shard.dev->workers();
@@ -481,7 +481,6 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
   WallTimer total;
   ScenarioReport report;
   const int S = num_scenarios();
-  if (options.trace) obs::Tracer::instance().enable();
   const obs::TraceSpan solve_span("solver.solve", "scenarios", static_cast<std::uint64_t>(S),
                                   "shards", static_cast<std::uint64_t>(num_shards()));
   ensure_storage();

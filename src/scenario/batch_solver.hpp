@@ -57,8 +57,6 @@ struct BatchSolveOptions {
   /// Solve the unmodified base case first (sequentially) and fan its full
   /// iterate out to every chain-root scenario as a warm start.
   bool warm_start_from_base = false;
-  /// Record per-iteration residual histories in the per-scenario stats.
-  bool record_history = false;
   /// Externally-supplied initial iterates, one slot per scenario (empty =
   /// none; null entries cold start). A non-null entry seeds that scenario's
   /// full iterate — including beta, with prepare_warm_start semantics —
@@ -66,11 +64,6 @@ struct BatchSolveOptions {
   /// that slot. Chained scenarios cannot take one (the chain copy would
   /// overwrite it). This is the serve layer's cache-hit entry point.
   std::vector<const admm::WarmStartIterate*> initial_iterates;
-  /// Enables the process-wide obs::Tracer for this solve (idempotent; the
-  /// tracer stays on afterwards — it is process state, like GRIDADMM_TRACE).
-  /// Tracing only observes the loop (spans share the PhaseBreakdown's
-  /// clock reads), so iterates are bit-identical with it on or off.
-  bool trace = false;
   /// Sample each scenario's convergence state (primal/dual residual, beta,
   /// cumulative branch TRON iterations) every this many
   /// fused steps into ScenarioReport::convergence; the final state is

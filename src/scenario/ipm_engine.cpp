@@ -1,7 +1,6 @@
 #include "scenario/ipm_engine.hpp"
 
 #include <string>
-#include <vector>
 
 #include "common/error.hpp"
 #include "ipm/acopf_nlp.hpp"
@@ -10,8 +9,7 @@
 namespace gridadmm::scenario {
 
 IpmEngineResult solve_scenario_ipm(const grid::Network& base, const Scenario& sc,
-                                   const IpmEngineOptions& options,
-                                   const grid::OpfSolution* warm) {
+                                   const IpmEngineOptions& options) {
   require_valid(sc.pd.size() == static_cast<std::size_t>(base.num_buses()) &&
                     sc.qd.size() == static_cast<std::size_t>(base.num_buses()),
                 "solve_scenario_ipm: scenario loads do not match the network");
@@ -27,26 +25,11 @@ IpmEngineResult solve_scenario_ipm(const grid::Network& base, const Scenario& sc
     net.buses[static_cast<std::size_t>(i)].qd = sc.qd[static_cast<std::size_t>(i)];
   }
 
-  ipm::IpmOptions iopt = options.ipm;
-  if (options.wall_budget_seconds > 0.0) {
-    iopt.max_wall_seconds = iopt.max_wall_seconds > 0.0
-                                ? std::min(iopt.max_wall_seconds, options.wall_budget_seconds)
-                                : options.wall_budget_seconds;
-  }
-
   IpmEngineResult out;
   {
     ipm::AcopfNlp nlp(net);
-    ipm::IpmSolver solver(nlp, iopt);
-    if (warm != nullptr) {
-      std::vector<double> x0(static_cast<std::size_t>(nlp.num_vars()), 0.0);
-      nlp.pack(*warm, x0);
-      solver.set_primal(x0);
-      solver.options().warm_start = true;
-    }
-    const obs::TraceSpan span("ipm.solve", "vars",
-                              static_cast<std::uint64_t>(nlp.num_vars()), "warm",
-                              warm != nullptr ? 1 : 0);
+    ipm::IpmSolver solver(nlp, options.ipm);
+    const obs::TraceSpan span("ipm.solve", "vars", static_cast<std::uint64_t>(nlp.num_vars()));
     out.ipm = solver.solve();
     if (out.ipm.status != ipm::IpmStatus::kOptimal) {
       throw ConvergenceError(

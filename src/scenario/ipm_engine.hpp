@@ -5,9 +5,8 @@
 // profiles can stall below tolerance at any iteration budget. This wrapper
 // turns src/ipm/ into a drop-in second engine for exactly those scenarios:
 // it rebuilds the scenario's topology (N-1 outage) and loads as an
-// AcopfNlp, optionally warm-starts the primal from an ADMM iterate's
-// solution (admm::to_solution), bounds the solve with a wall-clock budget,
-// and converts non-optimal IpmStatus values into typed errors so callers
+// AcopfNlp, solves it cold (DESIGN.md §13 says why no ADMM seed), and
+// converts non-optimal IpmStatus values into typed errors so callers
 // never mistake a stalled fallback for a served answer.
 //
 // Used by the serve router (SolveService engine_fallback) and directly from
@@ -26,14 +25,13 @@ struct IpmEngineOptions {
   IpmEngineOptions() { ipm.max_iterations = 500; }
 
   /// Underlying solver options. Defaults match IpmOptions except
-  /// max_iterations, raised to 500: a fallback seeded from a *failed* ADMM
-  /// iterate routinely needs more Newton steps than a cold solve.
+  /// max_iterations, raised to 500. Cold rescues took at most 36 iterations
+  /// on the 315-request serve trial (case9/14/30, DESIGN.md §13) but 196 on
+  /// 1354pegase, close to IpmOptions' 300, and larger grids need more; the
+  /// cap only ends a solve that is not converging. ipm.max_wall_seconds
+  /// bounds the solve by wall time; the serve router sizes it from the
+  /// request deadline.
   ipm::IpmOptions ipm;
-
-  /// Wall-clock budget in seconds (0 = unlimited). Combined with any
-  /// ipm.max_wall_seconds by taking the tighter of the two. The serve
-  /// router sizes this from the request deadline.
-  double wall_budget_seconds = 0.0;
 };
 
 struct IpmEngineResult {
@@ -44,15 +42,13 @@ struct IpmEngineResult {
 
 /// Solves one scenario with the MiniIPM engine. `base` is the full-topology
 /// network the scenario indexes into; the outage branch (if any) is removed
-/// and the scenario's loads applied before the NLP is built. `warm` seeds
-/// the primal (the duals start cold — an ADMM iterate carries no usable
-/// multipliers); pass nullptr for a cold start.
+/// and the scenario's loads applied before the NLP is built, which is then
+/// solved from its own initial point.
 ///
 /// Returns only on IpmStatus::kOptimal. Every other status throws
 /// ConvergenceError carrying the status name and final diagnostics;
 /// NumericalError (non-finite iterate) propagates from the solver.
 IpmEngineResult solve_scenario_ipm(const grid::Network& base, const Scenario& sc,
-                                   const IpmEngineOptions& options = {},
-                                   const grid::OpfSolution* warm = nullptr);
+                                   const IpmEngineOptions& options = {});
 
 }  // namespace gridadmm::scenario

@@ -21,10 +21,9 @@ namespace gridadmm::scenario {
 /// Knobs for the hard-scenario stress corpus (add_stress_corpus). The
 /// defaults are calibrated on case30, whose native line ratings bind at a
 /// 3% uniform load increase: the resulting scenarios stall below tolerance
-/// on the batch ADMM path at their attached budgets — and at 4x those
-/// budgets on the boosted solo retry — yet the warm-started MiniIPM engine
-/// solves them to optimality in well under 500 iterations. They exist to
-/// exercise the full escalation ladder end-to-end.
+/// on the batch ADMM path at their attached budgets, yet the MiniIPM engine
+/// solves them cold to optimality in well under 500 iterations. They exist
+/// to exercise the full escalation ladder end-to-end.
 struct StressCorpusOptions {
   double load_scale = 1.03;  ///< uniform load stress on every entry
   int max_outages = 2;       ///< rate-tight N-1 entries (non-bridge branches)

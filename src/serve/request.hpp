@@ -51,10 +51,10 @@ struct SolveRequest {
 /// Which rung of the engine ladder produced a result's final solution
 /// (DESIGN.md §13). Every request starts on the fused batch ADMM; with the
 /// router enabled, a slot it leaves non-converged is handed to the
-/// warm-started MiniIPM fallback.
+/// cold-started MiniIPM fallback.
 enum class SolveEngine {
   kAdmm = 0,  ///< fused batch ADMM (first rung)
-  kIpm = 1,   ///< warm-started MiniIPM fallback (last rung)
+  kIpm = 1,   ///< cold-started MiniIPM fallback (last rung)
 };
 inline constexpr int kSolveEngineCount = 2;
 

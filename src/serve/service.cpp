@@ -96,17 +96,12 @@ SolveService::SolveService(grid::Network base, admm::AdmmParams params, ServiceO
           "SolveService: quarantine_backoff_seconds must be finite and non-negative");
   require(std::isfinite(options_.ipm_budget_seconds) && options_.ipm_budget_seconds >= 0.0,
           "SolveService: ipm_budget_seconds must be finite and non-negative");
-  require(std::isfinite(options_.ipm_tolerance) && options_.ipm_tolerance > 0.0,
-          "SolveService: ipm_tolerance must be positive and finite");
-  require(options_.ipm_max_iterations > 0,
-          "SolveService: ipm_max_iterations must be positive");
   // Aliasing shared_ptr: requests that carry no network reference the
   // service's own copy without another Network allocation.
   base_shared_ = std::shared_ptr<const grid::Network>(std::shared_ptr<void>(), &base_);
   base_fingerprint_ = grid::network_fingerprint(base_);
   base_bridges_ = grid::bridge_branches(base_);
   clock_ = options_.clock != nullptr ? options_.clock : std::make_shared<SteadyClock>();
-  if (options_.trace) obs::Tracer::instance().enable();
   m_submitted_ = &metrics_.counter("serve_requests_submitted_total",
                                    "Requests accepted into the queue");
   m_shed_ = &metrics_.counter("serve_requests_shed_total",
@@ -812,11 +807,11 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
 
   // ---- Engine ladder (DESIGN.md §13): the MiniIPM rung ----
   // With engine_fallback on, a slot the fused solve left non-converged is
-  // re-solved by the warm-started MiniIPM, seeded from its failed ADMM
-  // iterate. The rung is decisive: success replaces the result (engine =
-  // kIpm), a typed failure fails the future, so no request is fulfilled
-  // with a silently non-converged answer. A request whose deadline passed
-  // by pickup is shed as a deadline miss, not rescued late.
+  // re-solved cold by the MiniIPM. The rung is decisive: success replaces
+  // the result (engine = kIpm), a typed failure fails the future, so no
+  // request is fulfilled with a silently non-converged answer. A request
+  // whose deadline passed by pickup is shed as a deadline miss, not
+  // rescued late.
   std::vector<SolveEngine> engine(members.size(), SolveEngine::kAdmm);
   std::vector<char> ended(members.size(), 0);  ///< future already ended without a result
   for (std::size_t s = 0; options_.engine_fallback && s < members.size(); ++s) {
@@ -835,19 +830,14 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
       const double remaining = p.request.deadline - clock_->now();
       budget = budget > 0.0 ? std::min(budget, remaining) : remaining;
     }
-    const admm::WarmStartIterate iterate = solver.export_iterate(static_cast<int>(s));
     m_ipm_attempts_->inc();
     obs::instant("serve.ipm_rescue", "req", p.id, "batch", ctx.batch_id);
     std::exception_ptr failure;
     try {
       scenario::IpmEngineOptions ipm_options;
-      ipm_options.ipm.tolerance = options_.ipm_tolerance;
-      ipm_options.ipm.max_iterations = options_.ipm_max_iterations;
-      ipm_options.wall_budget_seconds = budget;
-      const grid::OpfSolution warm = admm::to_solution(iterate, *p.request.network);
+      ipm_options.ipm.max_wall_seconds = budget;
       scenario::IpmEngineResult rescue = scenario::solve_scenario_ipm(
-          *p.request.network, scenario_of(p.request, ctx.batch_id, members[s]), ipm_options,
-          &warm);
+          *p.request.network, scenario_of(p.request, ctx.batch_id, members[s]), ipm_options);
       solutions[s] = std::move(rescue.solution);
       report.records[s].converged = true;
       report.records[s].objective = rescue.quality.objective;

@@ -94,10 +94,6 @@ struct ServiceOptions {
   /// Telemetry clock (null = steady clock). Scheduling always uses the
   /// steady clock; see serve/clock.hpp.
   std::shared_ptr<const Clock> clock;
-  /// Enables the process-wide obs::Tracer at construction, so the request
-  /// lifecycle (admit -> queue -> dispatch -> per-shard solve -> fulfill)
-  /// lands in the Chrome trace. Equivalent to GRIDADMM_TRACE=1.
-  bool trace = false;
   /// Per-scenario convergence sampling interval of the fused micro-batch
   /// solves (see scenario::BatchSolveOptions::convergence_sample_interval);
   /// each SolveResult then carries its slot's trajectory. 0 = off.
@@ -123,9 +119,9 @@ struct ServiceOptions {
 
   // ---- Engine router (DESIGN.md §13) ----
   /// Second and last rung of the engine ladder: a request the fused batch
-  /// solve leaves non-converged is re-solved by the warm-started MiniIPM
-  /// fallback engine (scenario::solve_scenario_ipm), seeded from its failed
-  /// ADMM iterate. Success fulfills the future converged with
+  /// solve leaves non-converged is re-solved cold by the MiniIPM fallback
+  /// engine (scenario::solve_scenario_ipm at its default tolerance and
+  /// iteration cap). Success fulfills the future converged with
   /// SolveResult::engine == SolveEngine::kIpm; a fallback failure surfaces
   /// as a typed ConvergenceError (or NumericalError) on the future instead
   /// of a silently non-converged result. Off by default: with the router
@@ -140,9 +136,6 @@ struct ServiceOptions {
   /// enforce; a request whose deadline already passed at escalation pickup
   /// is shed as a deadline miss instead of rescued late.
   double ipm_budget_seconds = 0.0;
-  /// Fallback engine convergence knobs (scenario::IpmEngineOptions).
-  double ipm_tolerance = 1e-6;
-  int ipm_max_iterations = 500;
 
   // ---- SLO observability layer (DESIGN.md §11) ----
   /// Enables the SLO layer: per-request stage timelines, per-stage latency

@@ -565,7 +565,8 @@ TEST(BatchAdmm, ChainedSolveMatchesSequentialAndKeepsLastTwoWavesResident) {
   // A last-wave capture equals its still-resident iterate bit for bit.
   const auto& solutions = solver.solutions();
   for (const int s : {4, set.size() - 1}) {
-    const auto resident = admm::to_solution(solver.export_iterate(s), net);
+    const auto it = solver.export_iterate(s);
+    const auto resident = admm::to_solution(net, it.bus_w, it.bus_theta, it.gen_pg, it.gen_qg);
     for (int b = 0; b < net.num_buses(); ++b) {
       EXPECT_DOUBLE_EQ(solutions[s].vm[static_cast<std::size_t>(b)],
                        resident.vm[static_cast<std::size_t>(b)]);

@@ -177,38 +177,47 @@ TEST(Ipm, ReportsLineSearchFailureOnInfeasibleCase) {
 }
 
 TEST(Ipm, WarmStartFromPrimalIsDeterministic) {
-  // Two independent solvers seeded with the same primal via set_primal must
-  // walk bit-identical iterate sequences: the escalation router's IPM rung
-  // relies on replayable rescues.
+  // Two independent solvers must walk bit-identical iterate sequences, cold
+  // and then warm from their own previous solve at shifted loads (the
+  // tracking baseline's IPM-to-IPM warm start): the escalation router's IPM
+  // rung relies on replayable rescues.
   const auto net = grid::load_embedded_case("case30");
-  std::vector<double> seed;
-  {
-    AcopfNlp nlp(net);
-    seed.resize(static_cast<std::size_t>(nlp.num_vars()));
-    nlp.initial_point(seed);
-    for (std::size_t i = 0; i < seed.size(); ++i) seed[i] += 0.003 * std::sin(1.7 * static_cast<double>(i));
+  std::vector<double> pd, qd;
+  for (const auto& bus : net.buses) {
+    pd.push_back(bus.pd * 1.02);
+    qd.push_back(bus.qd * 1.02);
   }
-  auto run = [&](IpmResult& result, std::vector<double>& primal) {
+  struct Run {
+    IpmResult cold, warm;
+    std::vector<double> cold_primal, warm_primal;
+  };
+  auto run = [&] {
+    Run out;
     AcopfNlp nlp(net);
     IpmSolver solver(nlp);
-    solver.set_primal(seed);
+    out.cold = solver.solve();
+    out.cold_primal.assign(solver.primal().begin(), solver.primal().end());
+    nlp.set_loads(pd, qd);
     solver.options().warm_start = true;
-    result = solver.solve();
-    primal.assign(solver.primal().begin(), solver.primal().end());
+    out.warm = solver.solve();
+    out.warm_primal.assign(solver.primal().begin(), solver.primal().end());
+    return out;
   };
-  IpmResult a_result, b_result;
-  std::vector<double> a_primal, b_primal;
-  run(a_result, a_primal);
-  run(b_result, b_primal);
-  ASSERT_EQ(a_result.status, IpmStatus::kOptimal);
-  EXPECT_EQ(a_result.status, b_result.status);
-  EXPECT_EQ(a_result.iterations, b_result.iterations);
-  EXPECT_EQ(a_result.objective, b_result.objective);  // bit-identical, not NEAR
-  EXPECT_EQ(a_result.kkt_error, b_result.kkt_error);
-  ASSERT_EQ(a_primal.size(), b_primal.size());
-  for (std::size_t i = 0; i < a_primal.size(); ++i) {
-    EXPECT_EQ(a_primal[i], b_primal[i]) << "primal diverged at " << i;
-  }
+  const auto expect_identical = [](const IpmResult& x, const IpmResult& y,
+                                   const std::vector<double>& x_primal,
+                                   const std::vector<double>& y_primal) {
+    ASSERT_EQ(x.status, IpmStatus::kOptimal);
+    EXPECT_EQ(x.status, y.status);
+    EXPECT_EQ(x.iterations, y.iterations);
+    EXPECT_EQ(x.objective, y.objective);  // bit-identical, not NEAR
+    EXPECT_EQ(x.kkt_error, y.kkt_error);
+    EXPECT_EQ(x_primal, y_primal);
+  };
+  const Run a = run();
+  const Run b = run();
+  expect_identical(a.cold, b.cold, a.cold_primal, b.cold_primal);
+  expect_identical(a.warm, b.warm, a.warm_primal, b.warm_primal);
+  EXPECT_NE(a.warm.objective, a.cold.objective);  // the warm solve saw new loads
 }
 
 TEST(Ipm, WallBudgetStopsWithTimeBudgetStatus) {

@@ -262,9 +262,9 @@ TEST(Convergence, TracingAndSamplingKeepIteratesBitIdentical) {
   const auto plain = plain_solver.solve({});
   const auto plain_solutions = plain_solver.solutions();
 
+  obs::Tracer::instance().enable();
   scenario::BatchAdmmSolver observed_solver(set, params);
   scenario::BatchSolveOptions options;
-  options.trace = true;
   options.convergence_sample_interval = 1;
   const auto observed = observed_solver.solve(options);
   const auto observed_solutions = observed_solver.solutions();
@@ -293,8 +293,8 @@ TEST(Serve, LifecycleSpansInstrumentsAndTrajectories) {
   const auto net = grid::load_embedded_case("case9");
   const auto params = admm::params_for_case("case9", net.num_buses());
 
+  obs::Tracer::instance().enable();
   serve::ServiceOptions options;
-  options.trace = true;
   options.convergence_sample_interval = 2;
   options.max_batch_size = 4;
   options.batching_window_seconds = 0.01;

@@ -321,8 +321,7 @@ TEST(Scenario, StressCorpusStructure) {
 
 TEST(Scenario, IpmEngineSolvesStressScenarioFromTrackingPath) {
   // The tracking path can hand a period that defeats ADMM to the IPM engine
-  // directly: solve the stressed base scenario cold and warm, and check the
-  // warm solve lands on the same objective.
+  // directly: solve the stressed base scenario cold.
   ScenarioSet set(grid::load_embedded_case("case30"));
   StressCorpusOptions corpus;
   corpus.max_outages = 0;
@@ -333,14 +332,6 @@ TEST(Scenario, IpmEngineSolvesStressScenarioFromTrackingPath) {
   EXPECT_EQ(cold.ipm.status, ipm::IpmStatus::kOptimal);
   EXPECT_LT(cold.quality.max_violation, 1e-5);
   EXPECT_GT(cold.quality.objective, 0.0);
-
-  // A primal-only warm start need not be faster (the paper's point about
-  // IPMs and warm starts — the duals restart cold), but it must land on the
-  // same optimum.
-  const IpmEngineResult warm = solve_scenario_ipm(set.network(), sc, {}, &cold.solution);
-  EXPECT_EQ(warm.ipm.status, ipm::IpmStatus::kOptimal);
-  EXPECT_NEAR(warm.quality.objective, cold.quality.objective,
-              1e-4 * std::abs(cold.quality.objective));
 }
 
 TEST(Scenario, IpmEngineThrowsTypedErrorOnInfeasibleScenario) {
@@ -372,7 +363,7 @@ TEST(Scenario, IpmEngineHonorsWallBudget) {
   ScenarioSet set(grid::load_embedded_case("case30"));
   set.add_base();
   IpmEngineOptions options;
-  options.wall_budget_seconds = 1e-9;
+  options.ipm.max_wall_seconds = 1e-9;
   try {
     solve_scenario_ipm(set.network(), set[0], options);
     FAIL() << "expected ConvergenceError";

@@ -1378,8 +1378,8 @@ TEST(SolveService, IpmStageHoldsTheRescueAndFulfilDoesNot) {
 
 /// The case30 stress recipe (scenario::StressCorpusOptions defaults) phrased
 /// as a serve request: uniformly scaled loads plus a per-request iteration
-/// budget tight enough that the fused ADMM fails, while the warm-started
-/// MiniIPM fallback converges.
+/// budget tight enough that the fused ADMM fails, while the MiniIPM
+/// fallback converges.
 SolveRequest stress_request(const grid::Network& net) {
   const scenario::StressCorpusOptions corpus;
   SolveRequest request;
@@ -1395,8 +1395,9 @@ SolveRequest stress_request(const grid::Network& net) {
 TEST(SolveService, StressRequestDefeatsPureAdmmButIpmRungRescues) {
   // A stress request that demonstrably defeats the pure-ADMM path completes
   // converged through the MiniIPM rung, with the rescue attributed (engine,
-  // stats split) and the objective agreeing with a direct MiniIPM solve of
-  // the same scenario to 1e-4.
+  // stats split) and the answer equal, bit for bit, to a direct cold MiniIPM
+  // solve of the same loads: the rung starts cold, not from the failed ADMM
+  // iterate.
   const auto net = grid::load_embedded_case("case30");
   const auto params = admm::params_for_case("case30", net.num_buses());
 
@@ -1434,14 +1435,17 @@ TEST(SolveService, StressRequestDefeatsPureAdmmButIpmRungRescues) {
   EXPECT_EQ(routed.second.completed_admm + routed.second.completed_ipm,
             routed.second.completed);
 
-  // Objective agreement with the direct MiniIPM path on the same scenario.
-  scenario::ScenarioSet set(net);
-  scenario::StressCorpusOptions corpus;
-  corpus.max_outages = 0;
-  set.add_stress_corpus(corpus);
-  const auto direct = scenario::solve_scenario_ipm(set.network(), set[0]);
-  EXPECT_NEAR(routed.first.objective, direct.quality.objective,
-              1e-4 * std::abs(direct.quality.objective));
+  // The direct cold MiniIPM solve of the same loads.
+  const SolveRequest request = stress_request(net);
+  scenario::Scenario same_loads;
+  same_loads.pd = request.pd;
+  same_loads.qd = request.qd;
+  const auto direct = scenario::solve_scenario_ipm(net, same_loads);
+  EXPECT_EQ(routed.first.objective, direct.quality.objective);
+  EXPECT_EQ(routed.first.solution.vm, direct.solution.vm);
+  EXPECT_EQ(routed.first.solution.va, direct.solution.va);
+  EXPECT_EQ(routed.first.solution.pg, direct.solution.pg);
+  EXPECT_EQ(routed.first.solution.qg, direct.solution.qg);
 }
 
 TEST(SolveService, IpmRungFailureSurfacesTypedConvergenceError) {
